@@ -43,6 +43,29 @@ BM_SolvePerfWindowSaturated(benchmark::State &state)
 }
 
 void
+BM_SolvePerfWindowCapLimited(benchmark::State &state)
+{
+    // Four streaming (swim-like) tasks under a 6.4 GB/s DTM cap, through
+    // the simulator's allocation-free overload; `evaluations` is the
+    // solver's deterministic work per window (the reference bisection
+    // made 62).
+    CoreTask stream;
+    stream.cpiCore = 0.55;
+    stream.mpki = 50.0;
+    stream.writeFrac = 0.45;
+    stream.specFrac = 0.10;
+    stream.mlpOverlap = 0.86;
+    std::vector<CoreTask> tasks(4, stream);
+    WindowPerf p;
+    for (auto _ : state) {
+        solvePerfWindow(tasks, 3.2, 3.2, 6.4, {}, p);
+        benchmark::DoNotOptimize(p.totalRead);
+    }
+    state.counters["evaluations"] = p.evaluations;
+    state.SetItemsProcessed(state.iterations());
+}
+
+void
 BM_MemoryThermalAdvance(benchmark::State &state)
 {
     MemoryThermalModel m(MemoryOrgConfig{4, 4}, coolingAohs15(),
@@ -72,6 +95,7 @@ BM_MemSpotWindow(benchmark::State &state)
 
 BENCHMARK(BM_SolvePerfWindowUnsaturated);
 BENCHMARK(BM_SolvePerfWindowSaturated);
+BENCHMARK(BM_SolvePerfWindowCapLimited);
 BENCHMARK(BM_MemoryThermalAdvance);
 BENCHMARK(BM_MemSpotWindow)->Unit(benchmark::kMillisecond);
 

@@ -10,10 +10,41 @@
  *
  * where the effective memory latency L is the idle latency when the memory
  * system is unsaturated, and otherwise the unique latency at which total
- * demanded throughput equals the sustainable bandwidth (found by
- * bisection — memory-bound tasks absorb the queueing latency, compute-
- * bound tasks keep their rate, which is the qualitative behavior of a real
- * bandwidth-shared memory system).
+ * demanded throughput equals the sustainable bandwidth — memory-bound
+ * tasks absorb the queueing latency, compute-bound tasks keep their rate,
+ * which is the qualitative behavior of a real bandwidth-shared memory
+ * system.
+ *
+ * The latency is the fixed point of the queueing map impliedLatency().
+ * The result is defined as what a fixed 60-step bisection of
+ * "L < implied(L)" returns, and the solver returns that exact double
+ * while evaluating the map about 5 times per window on Chapter 4-like
+ * inputs instead of 62:
+ *
+ *   - Certified bracket. Every operation in the map is a correctly
+ *     rounded, monotone floating-point operation, so the predicate
+ *     "L < implied(L)" is monotone in floating point, not only in the
+ *     reals: a bracket [below, above] where it holds at `below` and
+ *     fails at `above` decides it at every point outside the bracket.
+ *     The first evaluation, at the idle latency L0, already gives one:
+ *     [L0, implied(L0)].
+ *   - Model steps narrow the bracket to adjacent doubles: a local
+ *     quadratic model far from the root (bandwidth/demand is nearly
+ *     linear in L), then Newton on the computed residual, with the
+ *     demand slope from the same per-task sweep.
+ *   - Bisection replay. The reference bisection then runs unchanged —
+ *     same bracket growth, same 60 midpoints — but evaluates the map
+ *     only at midpoints strictly inside the bracket (after a full
+ *     narrowing there are none). Every predicate outcome equals the
+ *     reference's, so every midpoint, and the returned latency, is
+ *     bit-identical to it. Once the bisection's ends share a binade
+ *     and the remaining steps are enough to close them onto the
+ *     bracket's two adjacent doubles, its result is known to be the
+ *     upper one, and the replay stops there.
+ *
+ * Monotonicity, and with it exactness, holds for physical inputs:
+ * non-negative mpki, writeFrac, specFrac, queueFactor and lineBytes,
+ * positive cpiCore, mlpOverlap <= 1.
  */
 
 #ifndef MEMTHERM_CPU_PERF_MODEL_HH
@@ -58,6 +89,10 @@ struct WindowPerf
     GBps totalWrite = 0.0;
     double latencyNs = 0.0;         ///< effective memory latency used
     bool saturated = false;         ///< bandwidth constraint was binding
+    /// Evaluations of the queueing map the solve made (the reference
+    /// 60-step bisection makes 62); deterministic, so a host-independent
+    /// measure of level-1 solver work per window.
+    int evaluations = 0;
 };
 
 /**
@@ -83,6 +118,20 @@ WindowPerf solvePerfWindow(const std::vector<CoreTask> &tasks, GHz freq,
 void solvePerfWindow(const std::vector<CoreTask> &tasks, GHz freq,
                      GHz fmax, GBps cap, const MemSystemPerf &mem,
                      WindowPerf &out);
+
+/**
+ * The queueing map whose fixed point solvePerfWindow() finds:
+ * L0 * (1 + k * rho / (1 - rho)), rho = min(D(L) / cap_eff, 0.9999),
+ * where D(L) is the tasks' total demand at latency @p latency_ns and
+ * cap_eff = min(cap, peak * maxUtilization) — defined for cap_eff above
+ * the solver's 1e-9 GB/s shutdown threshold. The solver evaluates
+ * exactly this function; it is exposed so tests can pin that
+ * "L < impliedLatency(L)" stays monotone in floating point, which the
+ * solver's exactness rests on.
+ */
+double impliedLatency(const std::vector<CoreTask> &tasks, GHz freq,
+                      GHz fmax, GBps cap, const MemSystemPerf &mem,
+                      double latency_ns);
 
 } // namespace memtherm
 

@@ -6,12 +6,15 @@
  * docs/scenarios.md, and docs/cli.md has to cover every `memtherm`
  * subcommand and every `memtherm list` catalog keyword — so a new
  * catalog entry or subcommand cannot land undocumented. README.md must
- * keep linking into docs/.
+ * keep linking into docs/, and both README.md and docs/scenarios.md are
+ * checked against one list of the schema's sweep axes.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -76,22 +79,77 @@ TEST(DocsReference, ScenariosManualCoversEveryCatalogName)
                    "thermal model");
 }
 
+/** The `sweep` axes of the JSON schema (ScenarioSpec::fromJson). */
+const std::vector<std::string> kSweepAxes = {
+    "memory_org",   "traffic_shape",    "cooling",
+    "t_inlet",      "copies_per_app",   "sensor_noise_sigma",
+    "dtm_interval", "emergency_levels", "dvfs",
+    "refresh",      "thermal_model"};
+
+/** English count words, for docs that spell out how many axes exist. */
+const char *const kCountWords[] = {
+    "zero",  "one",   "two",  "three", "four",   "five",   "six",
+    "seven", "eight", "nine", "ten",   "eleven", "twelve", "thirteen"};
+
 TEST(DocsReference, ScenariosManualCoversEverySweepAxisAndKnob)
 {
     const std::string doc = readFile("docs/scenarios.md");
-    // The sweep axes and config members of the JSON schema
+    for (const auto &axis : kSweepAxes) {
+        EXPECT_NE(doc.find("`" + axis + "`"), std::string::npos)
+            << "docs/scenarios.md does not mention sweep axis '" << axis
+            << "'";
+    }
+    ASSERT_LT(kSweepAxes.size(), std::size(kCountWords));
+    EXPECT_NE(doc.find(std::string("the ") + kCountWords[kSweepAxes.size()] +
+                       " axes"),
+              std::string::npos)
+        << "docs/scenarios.md miscounts the sweep axes";
+    // The remaining config members of the JSON schema
     // (ScenarioSpec::fromJson's checkMembers lists).
     for (const char *key :
-         {"memory_org", "traffic_shape", "cooling", "t_inlet",
-          "copies_per_app", "sensor_noise_sigma", "dtm_interval",
-          "remap_interval", "remap_hysteresis", "emergency_levels",
-          "dvfs", "instr_scale", "max_sim_time", "sensor_quant",
-          "sensor_seed", "ambient", "platform", "workloads", "policies",
-          "sweep", "refresh", "schema_version", "thermal_model",
+         {"remap_interval", "remap_hysteresis", "instr_scale",
+          "max_sim_time", "sensor_quant", "sensor_seed", "ambient",
+          "platform", "workloads", "policies", "sweep", "schema_version",
           "trace", "grid_x", "grid_z", "bank_weights"}) {
         EXPECT_NE(doc.find(key), std::string::npos)
             << "docs/scenarios.md does not mention member '" << key << "'";
     }
+}
+
+TEST(DocsReference, ReadmeListsEverySweepAxis)
+{
+    const std::string readme = readFile("README.md");
+    ASSERT_LT(kSweepAxes.size(), std::size(kCountWords));
+    // The overview's axis list, "<count> `sweep` axes (`a`, `b`, ...)",
+    // names exactly the schema's axes.
+    const std::string count = kCountWords[kSweepAxes.size()];
+    const std::string intro = count + " `sweep` axes (";
+    const std::size_t begin = readme.find(intro);
+    ASSERT_NE(begin, std::string::npos)
+        << "README.md must list the sweep axes as \"" << intro << "...)\"";
+    const std::size_t end = readme.find(')', begin + intro.size());
+    ASSERT_NE(end, std::string::npos);
+    const std::string list = readme.substr(begin, end - begin);
+    for (const auto &axis : kSweepAxes) {
+        EXPECT_NE(list.find("`" + axis + "`"), std::string::npos)
+            << "README.md's sweep-axis list omits '" << axis << "'";
+    }
+    EXPECT_EQ(std::count(list.begin(), list.end(), '`'),
+              static_cast<std::ptrdiff_t>(2 * (kSweepAxes.size() + 1)))
+        << "README.md's sweep-axis list names an axis the schema lacks";
+    // Every other place README counts the axes agrees.
+    for (std::size_t n = 0; n < std::size(kCountWords); ++n) {
+        if (n == kSweepAxes.size())
+            continue;
+        for (const char *phrase : {" sweep axes", " `sweep` axes"}) {
+            EXPECT_EQ(readme.find(kCountWords[n] + std::string(phrase)),
+                      std::string::npos)
+                << "README.md says \"" << kCountWords[n] << phrase
+                << "\"; the schema has " << kSweepAxes.size();
+        }
+    }
+    EXPECT_NE(readme.find("all " + count + " sweep axes"),
+              std::string::npos);
 }
 
 TEST(DocsReference, CliManualCoversEverySubcommandAndListCatalog)
