@@ -472,7 +472,9 @@ ThermalSimulator::runBatch(const Workload &mix,
     BatchStats local;
     const Seconds eps = cfg.window * 1e-6;
     // Per-decision scratch: the members' actions and, per distinct
-    // action, the member lists of the split.
+    // action, the member lists of the split. The inner bucket vectors
+    // are kept across decisions (only the first uniq.size() are in use)
+    // so the steady state reuses their capacity instead of allocating.
     std::vector<DtmAction> actions;
     std::vector<std::size_t> uniq; // position of each distinct action
     std::vector<std::vector<std::size_t>> buckets;
@@ -504,7 +506,6 @@ ThermalSimulator::runBatch(const Workload &mix,
                     policies[m]->decide(g.lane.reading, g.lane.t));
             // Partition members by action equality, first-seen order.
             uniq.clear();
-            buckets.clear();
             for (std::size_t i = 0; i < actions.size(); ++i) {
                 std::size_t b = uniq.size();
                 for (std::size_t k = 0; k < uniq.size(); ++k) {
@@ -515,7 +516,9 @@ ThermalSimulator::runBatch(const Workload &mix,
                 }
                 if (b == uniq.size()) {
                     uniq.push_back(i);
-                    buckets.emplace_back();
+                    if (buckets.size() < uniq.size())
+                        buckets.emplace_back();
+                    buckets[b].clear();
                 }
                 buckets[b].push_back(g.members[i]);
             }
@@ -534,7 +537,9 @@ ThermalSimulator::runBatch(const Workload &mix,
                 ++local.forks;
             }
             applyDecision(g.lane, actions[uniq[0]]);
-            g.members = std::move(buckets[0]);
+            // Swap, not move: the old member list's capacity returns to
+            // the bucket for the next decision.
+            g.members.swap(buckets[0]);
         }
         // Groups appended above already carry this window's decision
         // (decided = true, nextDtm advanced) and take the window step

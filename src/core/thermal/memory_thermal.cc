@@ -295,7 +295,7 @@ MemoryThermalModel::currentPerDimm(std::vector<Celsius> &amb,
 }
 
 double
-MemoryThermalModel::setTrafficShares(std::vector<double> new_shares)
+MemoryThermalModel::setTrafficShares(const std::vector<double> &new_shares)
 {
     const int n = orgCfg.nDimmsPerChannel;
     panicIfNot(new_shares.empty() ||
@@ -317,7 +317,9 @@ MemoryThermalModel::setTrafficShares(std::vector<double> new_shares)
         double newv = new_shares.empty() ? uniform : new_shares[i];
         l1 += std::abs(newv - oldv);
     }
-    shares = std::move(new_shares);
+    // Copy-assign into the existing buffer: a remap migration reuses
+    // its capacity instead of allocating.
+    shares = new_shares;
     return 0.5 * l1;
 }
 

@@ -186,7 +186,7 @@ class MemoryThermalModel
      *         distributions (0 when nothing changed); the simulator
      *         charges the migration-cost burst from this.
      */
-    double setTrafficShares(std::vector<double> new_shares);
+    double setTrafficShares(const std::vector<double> &new_shares);
 
     /**
      * Set the per-DIMM refresh power added to each DIMM's DRAM devices
