@@ -57,7 +57,7 @@ main()
     for (int i = 0; i < lv.numLevels(); ++i) {
         Celsius amb_probe =
             i == 0 ? 50.0 : lv.ambBounds()[static_cast<std::size_t>(i - 1)];
-        ThermalReading r{amb_probe, 20.0, 50.0};
+        ThermalReading r{.amb = amb_probe, .dram = 20.0, .inlet = 50.0};
         // Built with += : GCC 12's -Wrestrict false-positives on
         // operator+(const char *, std::string &&) here under -O2.
         std::string level = "L";

@@ -19,10 +19,14 @@
 #ifndef MEMTHERM_COMMON_JSON_HH
 #define MEMTHERM_COMMON_JSON_HH
 
+#include <cmath>
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
+
+#include "common/logging.hh"
 
 namespace memtherm
 {
@@ -128,6 +132,32 @@ class Json
     std::vector<Json> arr;
     Members obj;
 };
+
+/**
+ * A JSON number read as an integer of type @p Int; FatalError
+ * "<what> must be an integer in [<min>, <max>] (got <v>)" when @p v is
+ * fractional or outside Int's range. A static_cast of such a double is
+ * undefined behaviour, so every JSON number read as an integer goes
+ * through here.
+ */
+template <class Int>
+Int
+jsonInteger(double v, const std::string &what)
+{
+    using Limits = std::numeric_limits<Int>;
+    // min() is 0 or -2^digits and the exclusive bound is 2^digits, so
+    // both convert to double exactly.
+    const double lo = static_cast<double>(Limits::min());
+    const double hi = std::ldexp(1.0, Limits::digits);
+    if (!(v >= lo && v < hi) || v != std::floor(v)) {
+        fatal(what + " must be an integer in [" +
+              std::to_string(Limits::min()) + ", " +
+              std::to_string(Limits::max()) + "] (got " +
+              (std::isfinite(v) ? Json::numberToString(v) : "non-finite") +
+              ")");
+    }
+    return static_cast<Int>(v);
+}
 
 } // namespace memtherm
 

@@ -33,8 +33,8 @@ struct ThermalReading
      * per-DIMM sensor path (e.g. policy unit tests that only exercise
      * the scalar readings).
      */
-    std::vector<Celsius> ambPerDimm;
-    std::vector<Celsius> dramPerDimm;
+    std::vector<Celsius> ambPerDimm{};
+    std::vector<Celsius> dramPerDimm{};
 };
 
 /** The running state a policy selects. */

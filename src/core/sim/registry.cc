@@ -181,7 +181,7 @@ std::unique_ptr<DtmPolicy>
 PolicyRegistry::tryMake(const std::string &name, Seconds dtm_interval,
                         std::string *error) const
 {
-    return tryMake(name, PolicyBuildContext{dtm_interval, std::nullopt},
+    return tryMake(name, PolicyBuildContext{.dtmInterval = dtm_interval},
                    error);
 }
 
@@ -199,7 +199,7 @@ PolicyRegistry::make(const std::string &name,
 std::unique_ptr<DtmPolicy>
 PolicyRegistry::make(const std::string &name, Seconds dtm_interval) const
 {
-    return make(name, PolicyBuildContext{dtm_interval, std::nullopt});
+    return make(name, PolicyBuildContext{.dtmInterval = dtm_interval});
 }
 
 // --- DVFS tables ------------------------------------------------------------

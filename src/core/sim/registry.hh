@@ -57,7 +57,7 @@ struct PolicyBuildContext
      * Threshold (DTM-TS) and PID policies regulate against ThermalLimits
      * and ignore this.
      */
-    std::optional<EmergencyLevels> emergencyLevels;
+    std::optional<EmergencyLevels> emergencyLevels{};
 
     /// Remap decision period for the traffic-remap family
     /// (SimConfig::remapInterval, the `remap_interval` knob).
@@ -70,7 +70,7 @@ struct PolicyBuildContext
     /// The run's starting per-DIMM traffic distribution
     /// (SimConfig::trafficShares; empty = uniform interleave). Remap
     /// policies migrate from here and reset() back to it.
-    std::vector<double> trafficShares;
+    std::vector<double> trafficShares{};
 };
 
 /**

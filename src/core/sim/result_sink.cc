@@ -1,6 +1,7 @@
 #include "core/sim/result_sink.hh"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdlib>
 #include <filesystem>
 #include <utility>
@@ -124,10 +125,11 @@ std::size_t
 streamMemberIndex(const Json &j, const char *key, const std::string &where)
 {
     double v = streamMemberNumber(j, key, where);
-    if (v < 0 || v != static_cast<double>(static_cast<std::size_t>(v)))
+    if (v < 0 || v != std::floor(v))
         fatal(where + (": member '" + std::string(key) +
                        "' must be a non-negative integer"));
-    return static_cast<std::size_t>(v);
+    return jsonInteger<std::size_t>(
+        v, where + ": member '" + std::string(key) + "'");
 }
 
 } // namespace
@@ -308,8 +310,9 @@ scanStream(const std::string &path, bool keep_results)
         if (lineno == 1) {
             if (type != "header")
                 fatal(where + ": first line must be the stream header");
-            const int format = static_cast<int>(
-                streamMemberNumber(j, "format", where));
+            const int format = jsonInteger<int>(
+                streamMemberNumber(j, "format", where),
+                where + ": member 'format'");
             if (format != kStreamFormatVersion) {
                 fatal(where + ": format " + std::to_string(format) +
                       " does not match this binary's format " +

@@ -1,10 +1,11 @@
 #include "core/sim/scenario.hh"
 
 #include <algorithm>
-#include <array>
 #include <cmath>
 #include <cstdlib>
-#include <limits>
+#include <functional>
+#include <memory>
+#include <type_traits>
 #include <utility>
 
 #include "common/logging.hh"
@@ -73,7 +74,7 @@ memberInt(const Json &obj, const std::string &key)
     double v = memberNumber(obj, key);
     if (v != std::floor(v))
         fatal("scenario: member '" + key + "' must be an integer");
-    return static_cast<int>(v);
+    return jsonInteger<int>(v, "scenario: member '" + key + "'");
 }
 
 std::string
@@ -113,226 +114,849 @@ numberList(const Json &v, const std::string &key)
     return out;
 }
 
+template <class T>
 Json
-toJsonList(const std::vector<std::string> &v)
+toJsonList(const std::vector<T> &v)
 {
     Json a = Json::array();
-    for (const auto &s : v)
-        a.push(s);
-    return a;
-}
-
-Json
-toJsonList(const std::vector<double> &v)
-{
-    Json a = Json::array();
-    for (double x : v)
+    for (const T &x : v)
         a.push(x);
     return a;
 }
 
-Json
-orgToJson(const MemoryOrgSpec &o)
-{
-    if (!o.name.empty())
-        return Json(o.name);
-    // A default-constructed spec means "keep the base organization" and
-    // has no serialized form — callers filter those out; reaching here
-    // with one (e.g. an empty sweep entry) is a spec bug, not UB.
-    if (!o.org)
-        fatal("scenario: empty memory organization");
-    Json j = Json::object();
-    j.set("channels", o.org->nChannels);
-    j.set("dimms", o.org->nDimmsPerChannel);
-    return j;
-}
+/**
+ * One coordinate value of a sweep axis, by value type: its `config`
+ * member parse (@c scalar), its `sweep` array parse (@c list), its JSON
+ * form (@c emit) and its point-label rendering (@c label).
+ */
+template <class T>
+struct Codec;
 
-/** Parse a memory organization: a catalog name or {channels, dimms}. */
-MemoryOrgSpec
-orgFromJson(const Json &v, const std::string &where)
+template <>
+struct Codec<std::string>
 {
-    MemoryOrgSpec s;
-    if (v.isString()) {
-        s.name = v.asString();
-        if (s.name.empty())
-            fatal("scenario: " + where + " name must not be empty");
-        return s;
+    static std::string scalar(const Json &cfg, const std::string &key)
+    {
+        return memberString(cfg, key);
     }
-    if (v.isObject()) {
-        checkMembers(v, where, {"channels", "dimms"});
-        if (!v.find("channels") || !v.find("dimms")) {
-            fatal("scenario: " + where +
-                  " needs both 'channels' and 'dimms'");
-        }
-        MemoryOrgConfig o;
-        o.nChannels = memberInt(v, "channels");
-        o.nDimmsPerChannel = memberInt(v, "dimms");
-        s.org = o;
-        return s;
+    static std::vector<std::string> list(const Json &v,
+                                         const std::string &key)
+    {
+        return stringList(v, "sweep." + key);
     }
-    fatal("scenario: " + where +
-          " must be a catalog name or a {channels, dimms} object");
-}
+    static Json emit(const std::string &v) { return Json(v); }
+    static std::string label(const std::string &v) { return v; }
+};
 
-Json
-shapeToJson(const TrafficShapeSpec &t)
+template <>
+struct Codec<double>
 {
-    if (!t.name.empty())
-        return Json(t.name);
-    // A default-constructed spec means "keep uniform interleave" and has
-    // no serialized form — callers filter those out; reaching here with
-    // one (e.g. an empty sweep entry) is a spec bug, not UB.
-    if (t.shares.empty())
-        fatal("scenario: empty traffic shape");
-    return toJsonList(t.shares);
-}
-
-/** Parse a traffic shape: a catalog name or an inline share vector. */
-TrafficShapeSpec
-shapeFromJson(const Json &v, const std::string &where)
-{
-    TrafficShapeSpec s;
-    if (v.isString()) {
-        s.name = v.asString();
-        if (s.name.empty())
-            fatal("scenario: " + where + " name must not be empty");
-        return s;
+    static double scalar(const Json &cfg, const std::string &key)
+    {
+        return memberNumber(cfg, key);
     }
-    if (v.isArray()) {
-        s.shares = numberList(v, where);
-        if (s.shares.empty()) {
-            fatal("scenario: " + where +
-                  " share vector must not be empty");
-        }
-        return s;
+    static std::vector<double> list(const Json &v, const std::string &key)
+    {
+        return numberList(v, "sweep." + key);
     }
-    fatal("scenario: " + where +
-          " must be a catalog shape name or an array of per-DIMM shares");
-}
+    static Json emit(double v) { return Json(v); }
+    static std::string label(double v) { return numStr(v); }
+};
 
-Json
-bandToJson(const RefreshBand &b)
+template <>
+struct Codec<int>
 {
-    Json j = Json::object();
-    j.set("min_temp", b.minTemp);
-    j.set("bw_fraction", b.bwFraction);
-    j.set("dram_power_w", b.dramPower);
-    // latency_mult defaults to 1 on parse, so omitting the default
-    // keeps the round trip lossless and the common case terse.
-    if (b.latencyMult != 1.0)
-        j.set("latency_mult", b.latencyMult);
-    return j;
-}
-
-Json
-refreshToJson(const RefreshSpec &r)
-{
-    if (!r.name.empty())
-        return Json(r.name);
-    // A default-constructed spec means "no refresh feedback" and has no
-    // serialized form — callers filter those out; reaching here with
-    // one (e.g. an empty sweep entry) is a spec bug, not UB.
-    if (r.bands.empty())
-        fatal("scenario: empty refresh model");
-    Json a = Json::array();
-    for (const RefreshBand &b : r.bands)
-        a.push(bandToJson(b));
-    return a;
-}
-
-/** Parse a refresh model: a catalog name or an inline band table. */
-RefreshSpec
-refreshFromJson(const Json &v, const std::string &where)
-{
-    RefreshSpec s;
-    if (v.isString()) {
-        s.name = v.asString();
-        if (s.name.empty())
-            fatal("scenario: " + where + " name must not be empty");
-        return s;
+    static int scalar(const Json &cfg, const std::string &key)
+    {
+        return memberInt(cfg, key);
     }
-    if (v.isArray()) {
-        for (const Json &e : v.asArray()) {
-            if (!e.isObject()) {
-                fatal("scenario: " + where +
-                      " bands must be objects");
+    static std::vector<int> list(const Json &v, const std::string &key)
+    {
+        std::vector<int> out;
+        for (double x : numberList(v, "sweep." + key)) {
+            if (x != std::floor(x)) {
+                fatal("scenario: sweep." + key + " must contain integers");
             }
-            checkMembers(e, where + " band",
-                         {"min_temp", "bw_fraction", "dram_power_w",
-                          "latency_mult"});
-            if (!e.find("min_temp") || !e.find("bw_fraction") ||
-                !e.find("dram_power_w")) {
+            out.push_back(jsonInteger<int>(x, "scenario: sweep." + key +
+                                                  " value"));
+        }
+        return out;
+    }
+    static Json emit(int v) { return Json(v); }
+    static std::string label(int v) { return std::to_string(v); }
+};
+
+/**
+ * Codec of the catalog-name-or-inline value types (MemoryOrgSpec, ...):
+ * Codec<T> supplies @c parse (one value at @p where), @c emit and the
+ * @c kArrayOf phrase of the sweep's not-an-array error.
+ */
+template <class T>
+struct InlineCodec
+{
+    static T scalar(const Json &cfg, const std::string &key)
+    {
+        return Codec<T>::parse(cfg.at(key), "'config." + key + "'");
+    }
+    static std::vector<T> list(const Json &v, const std::string &key)
+    {
+        if (!v.isArray()) {
+            fatal("scenario: 'sweep." + key + "' must be an array of " +
+                  Codec<T>::kArrayOf);
+        }
+        std::vector<T> out;
+        for (const Json &e : v.asArray())
+            out.push_back(Codec<T>::parse(e, "'sweep." + key + "' entry"));
+        return out;
+    }
+    static std::string label(const T &v) { return v.label(); }
+};
+
+// A default-constructed inline value means "keep the base value" and has
+// no serialized form — callers filter those out; emitting one (e.g. an
+// empty sweep entry) is a spec bug, not UB.
+
+template <>
+struct Codec<MemoryOrgSpec> : InlineCodec<MemoryOrgSpec>
+{
+    static constexpr const char *kArrayOf =
+        "catalog names or {channels, dimms} objects";
+
+    static Json emit(const MemoryOrgSpec &o)
+    {
+        if (!o.name.empty())
+            return Json(o.name);
+        if (!o.org)
+            fatal("scenario: empty memory organization");
+        Json j = Json::object();
+        j.set("channels", o.org->nChannels);
+        j.set("dimms", o.org->nDimmsPerChannel);
+        return j;
+    }
+
+    /** A catalog name or {channels, dimms}. */
+    static MemoryOrgSpec parse(const Json &v, const std::string &where)
+    {
+        MemoryOrgSpec s;
+        if (v.isString()) {
+            s.name = v.asString();
+            if (s.name.empty())
+                fatal("scenario: " + where + " name must not be empty");
+            return s;
+        }
+        if (v.isObject()) {
+            checkMembers(v, where, {"channels", "dimms"});
+            if (!v.find("channels") || !v.find("dimms")) {
                 fatal("scenario: " + where +
-                      " band needs 'min_temp', 'bw_fraction' and "
-                      "'dram_power_w'");
+                      " needs both 'channels' and 'dimms'");
             }
-            RefreshBand b;
-            b.minTemp = memberNumber(e, "min_temp");
-            b.bwFraction = memberNumber(e, "bw_fraction");
-            b.dramPower = memberNumber(e, "dram_power_w");
-            if (e.find("latency_mult"))
-                b.latencyMult = memberNumber(e, "latency_mult");
-            s.bands.push_back(b);
+            MemoryOrgConfig o;
+            o.nChannels = memberInt(v, "channels");
+            o.nDimmsPerChannel = memberInt(v, "dimms");
+            s.org = o;
+            return s;
         }
-        if (s.bands.empty()) {
-            fatal("scenario: " + where +
-                  " band table must not be empty");
-        }
-        return s;
+        fatal("scenario: " + where +
+              " must be a catalog name or a {channels, dimms} object");
     }
-    fatal("scenario: " + where +
-          " must be a catalog refresh model name or an array of "
-          "{min_temp, bw_fraction, dram_power_w[, latency_mult]} bands");
+};
+
+template <>
+struct Codec<TrafficShapeSpec> : InlineCodec<TrafficShapeSpec>
+{
+    static constexpr const char *kArrayOf =
+        "catalog shape names or per-DIMM share vectors";
+
+    static Json emit(const TrafficShapeSpec &t)
+    {
+        if (!t.name.empty())
+            return Json(t.name);
+        if (t.shares.empty())
+            fatal("scenario: empty traffic shape");
+        return toJsonList(t.shares);
+    }
+
+    /** A catalog name or an inline share vector. */
+    static TrafficShapeSpec parse(const Json &v, const std::string &where)
+    {
+        TrafficShapeSpec s;
+        if (v.isString()) {
+            s.name = v.asString();
+            if (s.name.empty())
+                fatal("scenario: " + where + " name must not be empty");
+            return s;
+        }
+        if (v.isArray()) {
+            s.shares = numberList(v, where);
+            if (s.shares.empty()) {
+                fatal("scenario: " + where +
+                      " share vector must not be empty");
+            }
+            return s;
+        }
+        fatal("scenario: " + where +
+              " must be a catalog shape name or an array of per-DIMM "
+              "shares");
+    }
+};
+
+template <>
+struct Codec<RefreshSpec> : InlineCodec<RefreshSpec>
+{
+    static constexpr const char *kArrayOf =
+        "catalog refresh model names or band tables";
+
+    static Json emit(const RefreshSpec &r)
+    {
+        if (!r.name.empty())
+            return Json(r.name);
+        if (r.bands.empty())
+            fatal("scenario: empty refresh model");
+        Json a = Json::array();
+        for (const RefreshBand &b : r.bands) {
+            Json j = Json::object();
+            j.set("min_temp", b.minTemp);
+            j.set("bw_fraction", b.bwFraction);
+            j.set("dram_power_w", b.dramPower);
+            // latency_mult defaults to 1 on parse, so omitting the
+            // default keeps the round trip lossless and the common case
+            // terse.
+            if (b.latencyMult != 1.0)
+                j.set("latency_mult", b.latencyMult);
+            a.push(std::move(j));
+        }
+        return a;
+    }
+
+    /** A catalog name or an inline band table. */
+    static RefreshSpec parse(const Json &v, const std::string &where)
+    {
+        RefreshSpec s;
+        if (v.isString()) {
+            s.name = v.asString();
+            if (s.name.empty())
+                fatal("scenario: " + where + " name must not be empty");
+            return s;
+        }
+        if (v.isArray()) {
+            for (const Json &e : v.asArray()) {
+                if (!e.isObject())
+                    fatal("scenario: " + where + " bands must be objects");
+                checkMembers(e, where + " band",
+                             {"min_temp", "bw_fraction", "dram_power_w",
+                              "latency_mult"});
+                if (!e.find("min_temp") || !e.find("bw_fraction") ||
+                    !e.find("dram_power_w")) {
+                    fatal("scenario: " + where +
+                          " band needs 'min_temp', 'bw_fraction' and "
+                          "'dram_power_w'");
+                }
+                RefreshBand b;
+                b.minTemp = memberNumber(e, "min_temp");
+                b.bwFraction = memberNumber(e, "bw_fraction");
+                b.dramPower = memberNumber(e, "dram_power_w");
+                if (e.find("latency_mult"))
+                    b.latencyMult = memberNumber(e, "latency_mult");
+                s.bands.push_back(b);
+            }
+            if (s.bands.empty()) {
+                fatal("scenario: " + where +
+                      " band table must not be empty");
+            }
+            return s;
+        }
+        fatal("scenario: " + where +
+              " must be a catalog refresh model name or an array of "
+              "{min_temp, bw_fraction, dram_power_w[, latency_mult]} "
+              "bands");
+    }
+};
+
+template <>
+struct Codec<ThermalModelSpec> : InlineCodec<ThermalModelSpec>
+{
+    static constexpr const char *kArrayOf =
+        "catalog thermal model names or {grid_x, grid_z[, bank_weights]} "
+        "objects";
+
+    static Json emit(const ThermalModelSpec &t)
+    {
+        if (!t.name.empty())
+            return Json(t.name);
+        if (!t.grid)
+            fatal("scenario: empty thermal model");
+        Json j = Json::object();
+        j.set("grid_x", t.grid->x);
+        j.set("grid_z", t.grid->z);
+        if (!t.grid->weights.empty())
+            j.set("bank_weights", toJsonList(t.grid->weights));
+        return j;
+    }
+
+    /** A catalog name or an inline grid object. */
+    static ThermalModelSpec parse(const Json &v, const std::string &where)
+    {
+        ThermalModelSpec s;
+        if (v.isString()) {
+            s.name = v.asString();
+            if (s.name.empty())
+                fatal("scenario: " + where + " name must not be empty");
+            return s;
+        }
+        if (v.isObject()) {
+            checkMembers(v, where, {"grid_x", "grid_z", "bank_weights"});
+            if (!v.find("grid_x") || !v.find("grid_z")) {
+                fatal("scenario: " + where +
+                      " needs both 'grid_x' and 'grid_z'");
+            }
+            BankGridConfig g;
+            g.x = memberInt(v, "grid_x");
+            g.z = memberInt(v, "grid_z");
+            if (v.find("bank_weights")) {
+                g.weights = numberList(v.at("bank_weights"),
+                                       where + " bank_weights");
+            }
+            s.grid = std::move(g);
+            return s;
+        }
+        fatal("scenario: " + where +
+              " must be a catalog thermal model name or a "
+              "{grid_x, grid_z[, bank_weights]} object");
+    }
+};
+
+/**
+ * Traffic shapes resolve against every organization the grid can visit
+ * (the memory_org sweep, else the knob, else the base configuration's
+ * chain). Resolving per organization checks an inline vector's arity
+ * against each one up front — the error names both axes — and rejects
+ * two swept shapes that resolve to the same share vector under any
+ * organization, matching the memory_org axis's resolved-value
+ * semantics: same-label entries would clobber a result key, and
+ * distinctly-named coincidences (front_heavy and linear_taper on a
+ * two-DIMM chain; every shape on a one-DIMM chain) would silently
+ * duplicate a measurement the sweep presents as two distinct
+ * distributions.
+ */
+void
+checkTrafficShapes(const ScenarioSpec &spec)
+{
+    struct OrgPoint
+    {
+        MemoryOrgConfig org;
+        std::string desc;
+    };
+    std::vector<OrgPoint> orgPoints;
+    for (const auto &o : spec.sweepMemoryOrg) {
+        orgPoints.push_back({o.resolve(), "sweep.memory_org organization '" +
+                                              o.label() + "'"});
+    }
+    if (orgPoints.empty() && !spec.memoryOrg.empty()) {
+        orgPoints.push_back({spec.memoryOrg.resolve(),
+                             "config.memory_org organization '" +
+                                 spec.memoryOrg.label() + "'"});
+    }
+    if (orgPoints.empty()) {
+        MemoryOrgConfig def = SimConfig{}.org;
+        orgPoints.push_back(
+            {def, "the base organization (" +
+                      std::to_string(def.nChannels) + "x" +
+                      std::to_string(def.nDimmsPerChannel) + ")"});
+    }
+    auto resolveShape = [&](const TrafficShapeSpec &shape,
+                            const std::string &what, const OrgPoint &op) {
+        // Named shapes fit any chain; empty specs fail in resolve().
+        if (shape.name.empty() && !shape.shares.empty() &&
+            static_cast<int>(shape.shares.size()) !=
+                op.org.nDimmsPerChannel) {
+            specError(spec,
+                      what + " '" + shape.label() + "' has " +
+                          std::to_string(shape.shares.size()) +
+                          " share(s) but " + op.desc + " has " +
+                          std::to_string(op.org.nDimmsPerChannel) +
+                          " DIMM(s) per channel");
+        }
+        return shape.resolve(op.org.nDimmsPerChannel);
+    };
+    for (const OrgPoint &op : orgPoints) {
+        if (!spec.trafficShape.empty())
+            (void)resolveShape(spec.trafficShape, "config.traffic_shape", op);
+        std::vector<std::vector<double>> shapes;
+        for (const auto &sh : spec.sweepTrafficShape)
+            shapes.push_back(
+                resolveShape(sh, "sweep.traffic_shape entry", op));
+        for (std::size_t i = 0; i < shapes.size(); ++i) {
+            for (std::size_t j = 0; j < i; ++j) {
+                if (shapes[i] != shapes[j])
+                    continue;
+                const std::string a = spec.sweepTrafficShape[i].label();
+                const std::string b = spec.sweepTrafficShape[j].label();
+                std::string what =
+                    "duplicate sweep.traffic_shape shape '" + a + "'";
+                if (a != b)
+                    what += " (same shares as '" + b + "' under " +
+                            op.desc + ")";
+                specError(spec, what);
+            }
+        }
+    }
 }
 
-Json
-thermalModelToJson(const ThermalModelSpec &t)
+/** Range rule of a numeric axis (or knob) value. */
+struct Bound
 {
-    if (!t.name.empty())
-        return Json(t.name);
-    // A default-constructed spec means "the lumped per-DIMM model" and
-    // has no serialized form — callers filter those out; reaching here
-    // with one (e.g. an empty sweep entry) is a spec bug, not UB.
-    if (!t.grid)
-        fatal("scenario: empty thermal model");
-    Json j = Json::object();
-    j.set("grid_x", t.grid->x);
-    j.set("grid_z", t.grid->z);
-    if (!t.grid->weights.empty())
-        j.set("bank_weights", toJsonList(t.grid->weights));
-    return j;
+    double min;
+    bool exclusive; ///< the value must be > min (else >= min)
+};
+
+/** Reject a non-finite or out-of-bound value; @p what names it. */
+void
+checkValue(const ScenarioSpec &spec, double v, const std::string &what,
+           const std::optional<Bound> &bound)
+{
+    if (!std::isfinite(v))
+        specError(spec, what + " must be finite");
+    if (bound && (bound->exclusive ? v <= bound->min : v < bound->min)) {
+        specError(spec, what + " must be " +
+                            (bound->exclusive ? "> " : ">= ") +
+                            numStr(bound->min));
+    }
 }
 
-/** Parse a thermal model: a catalog name or an inline grid object. */
-ThermalModelSpec
-thermalModelFromJson(const Json &v, const std::string &where)
+/** An edit of a grid point's configuration. */
+using ConfigEdit = std::function<void(SimConfig &)>;
+
+/**
+ * One sweep axis after resolution: the edit of its `config` knob (empty
+ * when unset) and, per swept value, its label coordinate ("org=2x4")
+ * and edit. Resolution checks every value, so the edits cannot fail.
+ */
+struct ResolvedAxis
 {
-    ThermalModelSpec s;
-    if (v.isString()) {
-        s.name = v.asString();
-        if (s.name.empty())
-            fatal("scenario: " + where + " name must not be empty");
-        return s;
+    struct Coordinate
+    {
+        std::string label;
+        ConfigEdit edit;
+    };
+    ConfigEdit base;
+    std::vector<Coordinate> values;
+};
+
+/** What differs between the axes besides their value type. */
+struct AxisInfo
+{
+    /// `config.<key>` and `sweep.<key>`.
+    const char *key;
+    /// Label coordinate name, e.g. org in "org=2x4"; nullptr: the key.
+    const char *label;
+    /// Position among the `config` members (the unknown-member list and
+    /// toJson's member order, which predate the table).
+    int configRank;
+    /// Platform scenarios reject the knob and the sweep with this
+    /// message; nullptr accepts both.
+    const char *platformError = nullptr;
+    /// Numeric axes: every value must be finite and honor this bound.
+    std::optional<Bound> bound = std::nullopt;
+    /// Duplicate sweep values are "duplicate sweep.<key> <noun> '<v>'".
+    /// nullptr: no generic rule (traffic shapes compare per
+    /// organization, in checkTrafficShapes).
+    const char *noun = "value";
+    /// nullptr: values compare by label, before any name resolves; else
+    /// by resolved value, reporting "(same <sameAs> as '<other>')".
+    const char *sameAs = nullptr;
+    /// Whether the `config` knob is set; nullptr: it is non-empty.
+    bool (*isSet)(const ScenarioSpec &) = nullptr;
+    /// Checks across the whole axis, run once its values resolve.
+    void (*validate)(const ScenarioSpec &) = nullptr;
+};
+
+/**
+ * One sweep axis: everything the scenario layer does with the
+ * `config.<key>` knob and the `sweep.<key>` list of one dimension.
+ * lower(), toJson() and fromJson() are loops over the axes() table.
+ */
+class Axis : public AxisInfo
+{
+  public:
+    explicit Axis(const AxisInfo &info) : AxisInfo(info) {}
+    Axis(const Axis &) = delete;
+    Axis &operator=(const Axis &) = delete;
+    virtual ~Axis() = default;
+
+    /** The `config` knob is set. */
+    virtual bool knobSet(const ScenarioSpec &s) const = 0;
+    /** Number of swept values. */
+    virtual std::size_t swept(const ScenarioSpec &s) const = 0;
+
+    /** Parse the (present) `config.<key>` member of @p cfg. */
+    virtual void parse(ScenarioSpec &s, const Json &cfg) const = 0;
+    /** Parse the `sweep.<key>` member @p v. */
+    virtual void parseSweep(ScenarioSpec &s, const Json &v) const = 0;
+    virtual Json emit(const ScenarioSpec &s) const = 0;
+    virtual Json emitSweep(const ScenarioSpec &s) const = 0;
+
+    /** Finite/bound check of the knob, then of the swept values. */
+    virtual void checkKnob(const ScenarioSpec &s) const = 0;
+    virtual void checkSweep(const ScenarioSpec &s) const = 0;
+    /** Duplicate check of axes that compare by label. */
+    virtual void checkLabelDuplicates(const ScenarioSpec &s) const = 0;
+    /** Resolve every value (and check by-value duplicates). */
+    virtual ResolvedAxis resolve(const ScenarioSpec &s) const = 0;
+};
+
+template <class S>
+struct IsOptional : std::false_type
+{
+};
+template <class T>
+struct IsOptional<std::optional<T>> : std::true_type
+{
+};
+
+/**
+ * An axis whose values are T, held in ScenarioSpec as the knob member
+ * @c knob (a T or a std::optional<T>) and the sweep member @c sweep.
+ * @c resolveFn maps a value to what @c applyFn writes into a SimConfig.
+ */
+template <class T, class S, class Resolve, class Apply>
+class AxisOf final : public Axis
+{
+    using R = std::invoke_result_t<const Resolve &, const ScenarioSpec &,
+                                   const T &>;
+
+  public:
+    AxisOf(const AxisInfo &info, S ScenarioSpec::*knob,
+           std::vector<T> ScenarioSpec::*sweep, Resolve resolve,
+           Apply apply)
+        : Axis(info), knob(knob), sweep(sweep), resolveFn(resolve),
+          applyFn(apply)
+    {
     }
-    if (v.isObject()) {
-        checkMembers(v, where, {"grid_x", "grid_z", "bank_weights"});
-        if (!v.find("grid_x") || !v.find("grid_z")) {
-            fatal("scenario: " + where +
-                  " needs both 'grid_x' and 'grid_z'");
-        }
-        BankGridConfig g;
-        g.x = memberInt(v, "grid_x");
-        g.z = memberInt(v, "grid_z");
-        if (v.find("bank_weights")) {
-            g.weights =
-                numberList(v.at("bank_weights"), where + " bank_weights");
-        }
-        s.grid = std::move(g);
-        return s;
+
+    bool knobSet(const ScenarioSpec &s) const override
+    {
+        if (isSet)
+            return isSet(s);
+        if constexpr (IsOptional<S>::value)
+            return (s.*knob).has_value();
+        else
+            return !(s.*knob).empty();
     }
-    fatal("scenario: " + where +
-          " must be a catalog thermal model name or a "
-          "{grid_x, grid_z[, bank_weights]} object");
+    std::size_t swept(const ScenarioSpec &s) const override
+    {
+        return (s.*sweep).size();
+    }
+
+    void parse(ScenarioSpec &s, const Json &cfg) const override
+    {
+        s.*knob = Codec<T>::scalar(cfg, key);
+    }
+    void parseSweep(ScenarioSpec &s, const Json &v) const override
+    {
+        s.*sweep = Codec<T>::list(v, key);
+    }
+    Json emit(const ScenarioSpec &s) const override
+    {
+        return Codec<T>::emit(value(s));
+    }
+    Json emitSweep(const ScenarioSpec &s) const override
+    {
+        Json a = Json::array();
+        for (const T &v : s.*sweep)
+            a.push(Codec<T>::emit(v));
+        return a;
+    }
+
+    void checkKnob(const ScenarioSpec &s) const override
+    {
+        if constexpr (std::is_arithmetic_v<T>) {
+            if (knobSet(s))
+                checkValue(s, value(s), key, bound);
+        }
+    }
+    void checkSweep(const ScenarioSpec &s) const override
+    {
+        if constexpr (std::is_arithmetic_v<T>) {
+            // Integer sweeps word it differently (a documented string).
+            const std::string what =
+                std::is_integral_v<T>
+                    ? std::string(key) + " sweep values"
+                    : "sweep." + std::string(key) + " values";
+            for (T v : s.*sweep)
+                checkValue(s, v, what, bound);
+        }
+    }
+    void checkLabelDuplicates(const ScenarioSpec &s) const override
+    {
+        if (!noun || sameAs)
+            return;
+        const std::vector<T> &vals = s.*sweep;
+        for (std::size_t i = 0; i < vals.size(); ++i)
+            for (std::size_t j = 0; j < i; ++j)
+                if (Codec<T>::label(vals[i]) == Codec<T>::label(vals[j]))
+                    duplicate(s, i, j);
+    }
+    ResolvedAxis resolve(const ScenarioSpec &s) const override
+    {
+        ResolvedAxis out;
+        if (knobSet(s))
+            out.base = edit(resolveFn(s, value(s)));
+        const std::vector<T> &vals = s.*sweep;
+        std::vector<R> resolved;
+        resolved.reserve(vals.size());
+        for (const T &v : vals)
+            resolved.push_back(resolveFn(s, v));
+        if constexpr (std::equality_comparable<R>) {
+            for (std::size_t i = 0; noun && sameAs && i < vals.size(); ++i)
+                for (std::size_t j = 0; j < i; ++j)
+                    if (resolved[i] == resolved[j])
+                        duplicate(s, i, j);
+        }
+        if (validate)
+            validate(s);
+        for (std::size_t i = 0; i < vals.size(); ++i) {
+            out.values.push_back({std::string(label ? label : key) + "=" +
+                                      Codec<T>::label(vals[i]),
+                                  edit(std::move(resolved[i]))});
+        }
+        return out;
+    }
+
+  private:
+    const T &value(const ScenarioSpec &s) const
+    {
+        if constexpr (IsOptional<S>::value)
+            return *(s.*knob);
+        else
+            return s.*knob;
+    }
+
+    ConfigEdit edit(R r) const
+    {
+        return [apply = applyFn, r = std::move(r)](SimConfig &c) {
+            apply(c, r);
+        };
+    }
+
+    /** Swept values @p i and @p j collide. */
+    [[noreturn]] void duplicate(const ScenarioSpec &s, std::size_t i,
+                                std::size_t j) const
+    {
+        const std::string a = Codec<T>::label((s.*sweep)[i]);
+        const std::string b = Codec<T>::label((s.*sweep)[j]);
+        std::string what = std::string("duplicate sweep.") + key + " " +
+                           noun + " '" + a + "'";
+        if (a != b)
+            what += std::string(" (same ") + sameAs + " as '" + b + "')";
+        specError(s, what);
+    }
+
+    S ScenarioSpec::*knob;
+    std::vector<T> ScenarioSpec::*sweep;
+    Resolve resolveFn;
+    Apply applyFn;
+};
+
+template <class T, class S, class Resolve, class Apply>
+std::unique_ptr<const Axis>
+axis(S ScenarioSpec::*knob, std::vector<T> ScenarioSpec::*sweep,
+     const AxisInfo &info, Resolve resolve, Apply apply)
+{
+    return std::make_unique<AxisOf<T, S, Resolve, Apply>>(
+        info, knob, sweep, resolve, apply);
+}
+
+/** Resolution of the axes whose values are used as written. */
+constexpr auto asWritten = [](const ScenarioSpec &, const auto &v) {
+    return v;
+};
+
+/**
+ * The sweep axes, in grid order: the first axis varies slowest, and a
+ * point's label lists its coordinates in this order. A new axis is one
+ * entry here plus its ScenarioSpec members.
+ */
+const std::vector<std::unique_ptr<const Axis>> &
+axes()
+{
+    static const auto table = [] {
+        std::vector<std::unique_ptr<const Axis>> t;
+        t.push_back(axis(
+            &ScenarioSpec::memoryOrg, &ScenarioSpec::sweepMemoryOrg,
+            {.key = "memory_org",
+             .label = "org",
+             .configRank = 4,
+             .platformError =
+                 "platform scenarios fix the memory organization (the "
+                 "testbed hardware fixes its DIMM population); remove the "
+                 "memory_org member and sweep",
+             .noun = "organization",
+             .sameAs = "organization"},
+            [](const ScenarioSpec &, const MemoryOrgSpec &o) {
+                return o.resolve();
+            },
+            [](SimConfig &c, const MemoryOrgConfig &o) { c.org = o; }));
+        // Shapes resolve against each point's organization (set by the
+        // axis above), after checkTrafficShapes vetted every pairing.
+        t.push_back(axis(
+            &ScenarioSpec::trafficShape, &ScenarioSpec::sweepTrafficShape,
+            {.key = "traffic_shape",
+             .label = "shape",
+             .configRank = 5,
+             .platformError =
+                 "platform scenarios use the testbed's measured traffic "
+                 "distribution; remove the traffic_shape member and sweep",
+             .noun = nullptr,
+             .validate = checkTrafficShapes},
+            asWritten,
+            [](SimConfig &c, const TrafficShapeSpec &t) {
+                c.trafficShares = t.resolve(c.org.nDimmsPerChannel);
+            }));
+        // The base configuration already carries the cooling knob's
+        // setup; a swept setup replaces the fields makeCh4Config derives
+        // from it.
+        t.push_back(axis(
+            &ScenarioSpec::cooling, &ScenarioSpec::sweepCooling,
+            {.key = "cooling",
+             .label = nullptr,
+             .configRank = 0,
+             .platformError = "platform scenarios fix the cooling setup; "
+                              "remove the cooling sweep",
+             .isSet =
+                 [](const ScenarioSpec &s) { return s.platform.empty(); }},
+            [](const ScenarioSpec &s, const std::string &name) {
+                return makeCh4Config(coolingByName(name),
+                                     s.ambient == "integrated");
+            },
+            [](SimConfig &c, const SimConfig &ch4) {
+                c.cooling = ch4.cooling;
+                c.ambient = ch4.ambient;
+            }));
+        t.push_back(axis(
+            &ScenarioSpec::tInlet, &ScenarioSpec::sweepTInlet,
+            {.key = "t_inlet", .label = "inlet", .configRank = 9},
+            asWritten,
+            [](SimConfig &c, double v) { c.ambient.tInlet = v; }));
+        t.push_back(axis(
+            &ScenarioSpec::copiesPerApp, &ScenarioSpec::sweepCopies,
+            {.key = "copies_per_app", .label = "copies", .configRank = 10,
+             .bound = Bound{1.0, false}},
+            asWritten, [](SimConfig &c, int v) { c.copiesPerApp = v; }));
+        t.push_back(axis(
+            &ScenarioSpec::sensorNoiseSigma, &ScenarioSpec::sweepSensorNoise,
+            {.key = "sensor_noise_sigma", .label = "noise", .configRank = 16,
+             .bound = Bound{0.0, false}},
+            asWritten,
+            [](SimConfig &c, double v) { c.sensorNoiseSigma = v; }));
+        t.push_back(axis(
+            &ScenarioSpec::dtmInterval, &ScenarioSpec::sweepDtmInterval,
+            {.key = "dtm_interval", .label = "dtm", .configRank = 13,
+             .bound = Bound{0.0, true}},
+            asWritten, [](SimConfig &c, double v) { c.dtmInterval = v; }));
+        const char *dvfsOrLadder =
+            "platform scenarios fix the DVFS table and derive the "
+            "emergency ladders from the platform; remove the "
+            "dvfs/emergency_levels members and sweeps";
+        t.push_back(axis(
+            &ScenarioSpec::emergencyLevels,
+            &ScenarioSpec::sweepEmergencyLevels,
+            {.key = "emergency_levels", .label = "levels", .configRank = 2,
+             .platformError = dvfsOrLadder},
+            [](const ScenarioSpec &, const std::string &name) {
+                return emergencyLevelsByName(name);
+            },
+            [](SimConfig &c, const EmergencyLevels &l) {
+                c.emergencyLevels = l;
+            }));
+        t.push_back(axis(
+            &ScenarioSpec::dvfs, &ScenarioSpec::sweepDvfs,
+            {.key = "dvfs", .label = nullptr, .configRank = 3,
+             .platformError = dvfsOrLadder},
+            // The Chapter 4 CDVFS schemes' action tables select
+            // operating points 0..3.
+            [](const ScenarioSpec &s, const std::string &name) {
+                DvfsTable t = DvfsRegistry::instance().byName(name);
+                for (const auto &p : s.policies) {
+                    if ((p == "DTM-CDVFS" || p == "DTM-CDVFS+PID") &&
+                        t.levels() < 4) {
+                        specError(s, "DVFS table '" + name + "' has " +
+                                         std::to_string(t.levels()) +
+                                         " levels; DTM-CDVFS selects "
+                                         "levels 0..3");
+                    }
+                }
+                return t;
+            },
+            [](SimConfig &c, const DvfsTable &d) { c.dvfs = d; }));
+        t.push_back(axis(
+            &ScenarioSpec::refresh, &ScenarioSpec::sweepRefresh,
+            {.key = "refresh",
+             .label = nullptr,
+             .configRank = 6,
+             .platformError =
+                 "platform scenarios measure the testbed's real DRAM, "
+                 "refresh included; remove the refresh member and sweep",
+             .noun = "model",
+             .sameAs = "model"},
+            [](const ScenarioSpec &, const RefreshSpec &r) {
+                return r.resolve();
+            },
+            [](SimConfig &c, const RefreshModel &m) { c.refresh = m; }));
+        t.push_back(axis(
+            &ScenarioSpec::thermalModel, &ScenarioSpec::sweepThermalModel,
+            {.key = "thermal_model",
+             .label = "thermal",
+             .configRank = 7,
+             .platformError =
+                 "platform scenarios measure the testbed's real DIMMs at "
+                 "DIMM granularity; remove the thermal_model member and "
+                 "sweep",
+             .noun = "model",
+             .sameAs = "thermal model"},
+            [](const ScenarioSpec &, const ThermalModelSpec &t) {
+                return t.resolve();
+            },
+            [](SimConfig &c, const ThermalModelConfig &m) {
+                c.bankGrid = m.grid;
+            }));
+        return t;
+    }();
+    return table;
+}
+
+/**
+ * The `config` members in their documented order: the knobs that are
+ * not sweep axes, with each axis inserted at its configRank.
+ */
+const std::vector<std::string> &
+configMembers()
+{
+    static const std::vector<std::string> names = [] {
+        std::vector<std::string> out = {
+            "ambient",        "trace",          "instr_scale",
+            "max_sim_time",   "remap_interval", "remap_hysteresis",
+            "sensor_quant",   "sensor_seed"};
+        std::vector<const Axis *> byRank;
+        for (const auto &a : axes())
+            byRank.push_back(a.get());
+        std::sort(byRank.begin(), byRank.end(),
+                  [](const Axis *a, const Axis *b) {
+                      return a->configRank < b->configRank;
+                  });
+        for (const Axis *a : byRank)
+            out.insert(out.begin() + a->configRank, a->key);
+        return out;
+    }();
+    return names;
+}
+
+const Axis *
+findAxis(const std::string &key)
+{
+    for (const auto &a : axes())
+        if (key == a->key)
+            return a.get();
+    return nullptr;
 }
 
 Json
@@ -348,6 +972,19 @@ traceJson(const TimeSeries &t)
 }
 
 } // namespace
+
+const std::vector<std::string> &
+sweepAxisKeys()
+{
+    static const std::vector<std::string> keys = [] {
+        std::vector<std::string> out;
+        for (const auto &a : axes())
+            out.push_back(a->key);
+        return out;
+    }();
+    return keys;
+}
+
 
 std::string
 MemoryOrgSpec::label() const
@@ -584,58 +1221,32 @@ ScenarioSpec::lower() const
     std::optional<Platform> plat;
     if (onPlatform) {
         plat = platformByName(platform);
-        if (!sweepCooling.empty()) {
-            specError(*this, "platform scenarios fix the cooling setup; "
-                             "remove the cooling sweep");
-        }
-        if (cooling != ScenarioSpec{}.cooling ||
-            ambient != ScenarioSpec{}.ambient) {
-            specError(*this,
-                      "platform scenarios fix cooling and ambient; remove "
-                      "those members");
-        }
-        if (!emergencyLevels.empty() || !sweepEmergencyLevels.empty() ||
-            !dvfs.empty() || !sweepDvfs.empty()) {
-            specError(*this,
-                      "platform scenarios fix the DVFS table and derive "
-                      "the emergency ladders from the platform; remove the "
-                      "dvfs/emergency_levels members and sweeps");
-        }
-        if (!memoryOrg.empty() || !sweepMemoryOrg.empty()) {
-            specError(*this,
-                      "platform scenarios fix the memory organization "
-                      "(the testbed hardware fixes its DIMM population); "
-                      "remove the memory_org member and sweep");
-        }
-        if (!trafficShape.empty() || !sweepTrafficShape.empty()) {
-            specError(*this,
-                      "platform scenarios use the testbed's measured "
-                      "traffic distribution; remove the traffic_shape "
-                      "member and sweep");
-        }
-        if (!refresh.empty() || !sweepRefresh.empty()) {
-            specError(*this,
-                      "platform scenarios measure the testbed's real "
-                      "DRAM, refresh included; remove the refresh "
-                      "member and sweep");
-        }
-        if (!thermalModel.empty() || !sweepThermalModel.empty()) {
-            specError(*this,
-                      "platform scenarios measure the testbed's real "
-                      "DIMMs at DIMM granularity; remove the "
-                      "thermal_model member and sweep");
-        }
-        if (!trace.empty()) {
-            specError(*this,
-                      "platform scenarios use the testbed's measured "
-                      "traffic distribution; remove the trace member");
-        }
-        if (remapInterval || remapHysteresis) {
-            specError(*this,
-                      "platform scenarios use the testbed's measured "
-                      "traffic distribution, so remap policies have "
-                      "nothing to redistribute; remove the "
-                      "remap_interval/remap_hysteresis members");
+        // In config member order, so the first conflict reported does
+        // not depend on the member order of the document.
+        for (const std::string &key : configMembers()) {
+            const Axis *a = findAxis(key);
+            if (a && a->platformError &&
+                (a->knobSet(*this) || a->swept(*this))) {
+                specError(*this, a->platformError);
+            }
+            if (key == "ambient" && (cooling != ScenarioSpec{}.cooling ||
+                                     ambient != ScenarioSpec{}.ambient)) {
+                specError(*this, "platform scenarios fix cooling and "
+                                 "ambient; remove those members");
+            }
+            if (key == "trace" && !trace.empty()) {
+                specError(*this,
+                          "platform scenarios use the testbed's measured "
+                          "traffic distribution; remove the trace member");
+            }
+            if (key == "remap_interval" &&
+                (remapInterval || remapHysteresis)) {
+                specError(*this,
+                          "platform scenarios use the testbed's measured "
+                          "traffic distribution, so remap policies have "
+                          "nothing to redistribute; remove the "
+                          "remap_interval/remap_hysteresis members");
+            }
         }
         const auto valid = platformPolicyNames();
         for (const auto &p : policies) {
@@ -660,37 +1271,20 @@ ScenarioSpec::lower() const
         }
     }
 
-    // --- scalar override sanity: non-finite values would otherwise be
+    // --- knob sanity: non-finite values would otherwise be
     // indistinguishable from "keep the base value" downstream -----------
-    auto checkFinite = [&](const std::optional<double> &v,
-                           const char *what) {
-        if (v && !std::isfinite(*v))
-            specError(*this, std::string(what) + " must be finite");
+    for (const auto &a : axes())
+        a->checkKnob(*this);
+    auto checkKnob = [&](const std::optional<double> &v, const char *key,
+                         Bound bound) {
+        if (v)
+            checkValue(*this, *v, key, bound);
     };
-    checkFinite(tInlet, "t_inlet");
-    checkFinite(instrScale, "instr_scale");
-    checkFinite(maxSimTime, "max_sim_time");
-    checkFinite(dtmInterval, "dtm_interval");
-    checkFinite(remapInterval, "remap_interval");
-    checkFinite(remapHysteresis, "remap_hysteresis");
-    checkFinite(sensorNoiseSigma, "sensor_noise_sigma");
-    checkFinite(sensorQuant, "sensor_quant");
-    if (instrScale && *instrScale <= 0.0)
-        specError(*this, "instr_scale must be > 0");
-    if (maxSimTime && *maxSimTime <= 0.0)
-        specError(*this, "max_sim_time must be > 0");
-    if (dtmInterval && *dtmInterval <= 0.0)
-        specError(*this, "dtm_interval must be > 0");
-    if (remapInterval && *remapInterval <= 0.0)
-        specError(*this, "remap_interval must be > 0");
-    if (remapHysteresis && *remapHysteresis < 0.0)
-        specError(*this, "remap_hysteresis must be >= 0");
-    if (sensorNoiseSigma && *sensorNoiseSigma < 0.0)
-        specError(*this, "sensor_noise_sigma must be >= 0");
-    if (sensorQuant && *sensorQuant < 0.0)
-        specError(*this, "sensor_quant must be >= 0");
-    if (copiesPerApp && *copiesPerApp < 1)
-        specError(*this, "copies_per_app must be >= 1");
+    checkKnob(instrScale, "instr_scale", {0.0, true});
+    checkKnob(maxSimTime, "max_sim_time", {0.0, true});
+    checkKnob(remapInterval, "remap_interval", {0.0, true});
+    checkKnob(remapHysteresis, "remap_hysteresis", {0.0, false});
+    checkKnob(sensorQuant, "sensor_quant", {0.0, false});
 
     // --- trace vs modeled traffic: the trace IS the measured per-DIMM
     // distribution, so an analytic shape alongside it could only be
@@ -702,34 +1296,16 @@ ScenarioSpec::lower() const
                   "remove the traffic_shape member and sweep");
     }
 
-    // --- sweep axis sanity ---------------------------------------------
-    auto checkSweep = [&](const std::vector<double> &vals, const char *axis,
-                          double min, bool exclusive) {
-        for (double v : vals) {
-            if (!std::isfinite(v)) {
-                specError(*this, std::string("sweep.") + axis +
-                                     " values must be finite");
-            }
-            if (exclusive ? v <= min : v < min) {
-                specError(*this, std::string("sweep.") + axis +
-                                     " values must be " +
-                                     (exclusive ? "> " : ">= ") +
-                                     numStr(min));
-            }
-        }
-    };
-    checkSweep(sweepTInlet, "t_inlet",
-               -std::numeric_limits<double>::max(), false);
-    checkSweep(sweepSensorNoise, "sensor_noise_sigma", 0.0, false);
-    checkSweep(sweepDtmInterval, "dtm_interval", 0.0, true);
-    for (int c : sweepCopies)
-        if (c < 1)
-            specError(*this, "copies_per_app sweep values must be >= 1");
+    for (const auto &a : axes())
+        a->checkSweep(*this);
 
     // --- duplicates: SuiteResults is keyed [workload][policy] and sweep
     // points are keyed by label, so a duplicate anywhere would silently
     // clobber a result. Numeric axes compare by their label rendering,
-    // which is exact (shortest-round-trip formatting). -------------------
+    // which is exact (shortest-round-trip formatting); the axes of
+    // catalog-or-inline values compare by resolved value while
+    // resolving below, so e.g. "ch4_4x4" and an inline {4, 4} cannot
+    // silently collapse onto one sweep point. --------------------------
     auto rejectDuplicates = [&](const std::vector<std::string> &keys,
                                 const std::string &what) {
         for (std::size_t i = 0; i < keys.size(); ++i)
@@ -738,238 +1314,28 @@ ScenarioSpec::lower() const
                     specError(*this,
                               "duplicate " + what + " '" + keys[i] + "'");
     };
-    auto numKeys = [](const std::vector<double> &v) {
-        std::vector<std::string> out;
-        for (double x : v)
-            out.push_back(numStr(x));
-        return out;
-    };
-    auto intKeys = [](const std::vector<int> &v) {
-        std::vector<std::string> out;
-        for (int x : v)
-            out.push_back(std::to_string(x));
-        return out;
-    };
     rejectDuplicates(workloads, "workload");
     rejectDuplicates(policies, "policy");
-    rejectDuplicates(sweepCooling, "sweep.cooling value");
-    rejectDuplicates(numKeys(sweepTInlet), "sweep.t_inlet value");
-    rejectDuplicates(intKeys(sweepCopies), "sweep.copies_per_app value");
-    rejectDuplicates(numKeys(sweepSensorNoise),
-                     "sweep.sensor_noise_sigma value");
-    rejectDuplicates(numKeys(sweepDtmInterval), "sweep.dtm_interval value");
-    rejectDuplicates(sweepEmergencyLevels, "sweep.emergency_levels value");
-    rejectDuplicates(sweepDvfs, "sweep.dvfs value");
+    for (const auto &a : axes())
+        a->checkLabelDuplicates(*this);
 
-    // --- memory organizations: resolve up front (catalog lookup throws
-    // listing the valid keys; inline pairs reject non-positive counts)
-    // and compare by the *resolved* organization, so "ch4_4x4" and an
-    // inline {4, 4} cannot silently collapse onto one sweep point. ------
-    std::optional<MemoryOrgConfig> baseOrg;
-    if (!memoryOrg.empty())
-        baseOrg = memoryOrg.resolve();
-    std::vector<MemoryOrgConfig> sweepOrgs;
-    sweepOrgs.reserve(sweepMemoryOrg.size());
-    for (const auto &o : sweepMemoryOrg)
-        sweepOrgs.push_back(o.resolve());
-    for (std::size_t i = 0; i < sweepOrgs.size(); ++i) {
-        for (std::size_t j = 0; j < i; ++j) {
-            if (sweepOrgs[i] == sweepOrgs[j]) {
-                std::string what = "duplicate sweep.memory_org "
-                                   "organization '" +
-                                   sweepMemoryOrg[i].label() + "'";
-                if (sweepMemoryOrg[i].label() != sweepMemoryOrg[j].label())
-                    what += " (same organization as '" +
-                            sweepMemoryOrg[j].label() + "')";
-                specError(*this, what);
-            }
-        }
-    }
-
-    // --- traffic shapes: resolve against every organization the grid
-    // can visit (the sweep axis, else the scalar override, else the
-    // base configuration's chain). Resolving per organization checks an
-    // inline vector's arity against each one up front — the error names
-    // both axes — and rejects two swept shapes that resolve to the same
-    // share vector under any organization, matching the memory_org
-    // axis's resolved-value semantics: same-label entries would clobber
-    // a result key, and distinctly-named coincidences (front_heavy and
-    // linear_taper on a two-DIMM chain; every shape on a one-DIMM
-    // chain) would silently duplicate a measurement the sweep presents
-    // as two distinct distributions. ----------------------------------
-    struct OrgPoint
-    {
-        MemoryOrgConfig org;
-        std::string desc;
-    };
-    std::vector<OrgPoint> orgPoints;
-    if (!sweepOrgs.empty()) {
-        for (std::size_t i = 0; i < sweepOrgs.size(); ++i) {
-            orgPoints.push_back({sweepOrgs[i],
-                                 "sweep.memory_org organization '" +
-                                     sweepMemoryOrg[i].label() + "'"});
-        }
-    } else if (baseOrg) {
-        orgPoints.push_back({*baseOrg,
-                             "config.memory_org organization '" +
-                                 memoryOrg.label() + "'"});
-    } else {
-        MemoryOrgConfig def = SimConfig{}.org;
-        orgPoints.push_back(
-            {def, "the base organization (" +
-                      std::to_string(def.nChannels) + "x" +
-                      std::to_string(def.nDimmsPerChannel) + ")"});
-    }
-    auto checkShapeArity = [&](const TrafficShapeSpec &shape,
-                               const std::string &what,
-                               const OrgPoint &op) {
-        // Named shapes fit any chain; empty specs fail in resolve().
-        if (!shape.name.empty() || shape.shares.empty())
-            return;
-        if (static_cast<int>(shape.shares.size()) !=
-            op.org.nDimmsPerChannel) {
-            specError(*this,
-                      what + " '" + shape.label() + "' has " +
-                          std::to_string(shape.shares.size()) +
-                          " share(s) but " + op.desc + " has " +
-                          std::to_string(op.org.nDimmsPerChannel) +
-                          " DIMM(s) per channel");
-        }
-    };
-    std::vector<std::vector<double>> baseShapeByOrg(orgPoints.size());
-    std::vector<std::vector<std::vector<double>>> sweepShapesByOrg(
-        orgPoints.size());
-    for (std::size_t oi = 0; oi < orgPoints.size(); ++oi) {
-        const OrgPoint &op = orgPoints[oi];
-        if (!trafficShape.empty()) {
-            checkShapeArity(trafficShape, "config.traffic_shape", op);
-            baseShapeByOrg[oi] =
-                trafficShape.resolve(op.org.nDimmsPerChannel);
-        }
-        auto &resolved = sweepShapesByOrg[oi];
-        resolved.reserve(sweepTrafficShape.size());
-        for (const auto &sh : sweepTrafficShape) {
-            checkShapeArity(sh, "sweep.traffic_shape entry", op);
-            resolved.push_back(sh.resolve(op.org.nDimmsPerChannel));
-        }
-        for (std::size_t i = 0; i < resolved.size(); ++i) {
-            for (std::size_t j = 0; j < i; ++j) {
-                if (resolved[i] == resolved[j]) {
-                    std::string what =
-                        "duplicate sweep.traffic_shape shape '" +
-                        sweepTrafficShape[i].label() + "'";
-                    if (sweepTrafficShape[i].label() !=
-                        sweepTrafficShape[j].label()) {
-                        what += " (same shares as '" +
-                                sweepTrafficShape[j].label() +
-                                "' under " + op.desc + ")";
-                    }
-                    specError(*this, what);
-                }
-            }
-        }
-    }
-
-    // --- resolve ladder and DVFS names up front (throws listing the
-    // valid keys), and keep the Chapter 4 CDVFS schemes honest: their
-    // action tables select operating points 0..3. ------------------------
-    const bool usesCdvfs = [&] {
-        for (const auto &p : policies)
-            if (p == "DTM-CDVFS" || p == "DTM-CDVFS+PID")
-                return true;
-        return false;
-    }();
-    auto checkDvfsName = [&](const std::string &name) {
-        DvfsTable t = DvfsRegistry::instance().byName(name);
-        if (usesCdvfs && t.levels() < 4) {
-            specError(*this, "DVFS table '" + name + "' has " +
-                                 std::to_string(t.levels()) +
-                                 " levels; DTM-CDVFS selects levels 0..3");
-        }
-    };
-    // Resolution doubles as the validity check, and the resolved values
-    // are reused across every grid point below.
-    std::optional<EmergencyLevels> baseLadder;
-    if (!emergencyLevels.empty())
-        baseLadder = emergencyLevelsByName(emergencyLevels);
-    std::vector<EmergencyLevels> sweepLadders;
-    sweepLadders.reserve(sweepEmergencyLevels.size());
-    for (const auto &n : sweepEmergencyLevels)
-        sweepLadders.push_back(emergencyLevelsByName(n));
-    std::optional<DvfsTable> baseDvfs;
-    if (!dvfs.empty()) {
-        checkDvfsName(dvfs);
-        baseDvfs = DvfsRegistry::instance().byName(dvfs);
-    }
-    std::vector<DvfsTable> sweepTables;
-    sweepTables.reserve(sweepDvfs.size());
-    for (const auto &n : sweepDvfs) {
-        checkDvfsName(n);
-        sweepTables.push_back(DvfsRegistry::instance().byName(n));
-    }
-
-    // --- refresh models: resolve up front (catalog lookup throws
-    // listing the valid keys; inline band tables validate bounds and
-    // ordering) and compare by the *resolved* model, so "none" and a
-    // differently-spelled equivalent cannot silently collapse onto one
-    // sweep point. -----------------------------------------------------
-    std::optional<RefreshModel> baseRefresh;
-    if (!refresh.empty())
-        baseRefresh = refresh.resolve();
-    std::vector<RefreshModel> sweepRefreshModels;
-    sweepRefreshModels.reserve(sweepRefresh.size());
-    for (const auto &r : sweepRefresh)
-        sweepRefreshModels.push_back(r.resolve());
-    for (std::size_t i = 0; i < sweepRefreshModels.size(); ++i) {
-        for (std::size_t j = 0; j < i; ++j) {
-            if (sweepRefreshModels[i] == sweepRefreshModels[j]) {
-                std::string what = "duplicate sweep.refresh model '" +
-                                   sweepRefresh[i].label() + "'";
-                if (sweepRefresh[i].label() != sweepRefresh[j].label())
-                    what += " (same model as '" +
-                            sweepRefresh[j].label() + "')";
-                specError(*this, what);
-            }
-        }
-    }
-
-    // --- thermal models: resolve up front (catalog lookup throws
-    // listing the valid keys; inline grids validate dimensions and
-    // weights) and compare by the *resolved* model, so "bank_grid" and
-    // an inline {4, 2} grid cannot silently collapse onto one sweep
-    // point. -------------------------------------------------------------
-    std::optional<ThermalModelConfig> baseThermal;
-    if (!thermalModel.empty())
-        baseThermal = thermalModel.resolve();
-    std::vector<ThermalModelConfig> sweepThermalModels;
-    sweepThermalModels.reserve(sweepThermalModel.size());
-    for (const auto &t : sweepThermalModel)
-        sweepThermalModels.push_back(t.resolve());
-    for (std::size_t i = 0; i < sweepThermalModels.size(); ++i) {
-        for (std::size_t j = 0; j < i; ++j) {
-            if (sweepThermalModels[i] == sweepThermalModels[j]) {
-                std::string what =
-                    "duplicate sweep.thermal_model model '" +
-                    sweepThermalModel[i].label() + "'";
-                if (sweepThermalModel[i].label() !=
-                    sweepThermalModel[j].label()) {
-                    what += " (same thermal model as '" +
-                            sweepThermalModel[j].label() + "')";
-                }
-                specError(*this, what);
-            }
-        }
-    }
+    // --- resolve every name and inline value up front (a catalog lookup
+    // throws listing the valid keys), once for the whole grid. ----------
+    std::vector<ResolvedAxis> resolved;
+    resolved.reserve(axes().size());
+    for (const auto &a : axes())
+        resolved.push_back(a->resolve(*this));
 
     // A trace decodes into the per-bank heat weights, so inline
     // bank_weights alongside one could only fight the measurement.
     if (!trace.empty()) {
-        auto hasWeights = [](const ThermalModelConfig &m) {
-            return m.grid && !m.grid->weights.empty();
+        auto hasWeights = [](const ThermalModelSpec &t) {
+            const auto grid = t.empty() ? std::nullopt : t.resolve().grid;
+            return grid && !grid->weights.empty();
         };
-        bool inlineWeights = baseThermal && hasWeights(*baseThermal);
-        for (const auto &m : sweepThermalModels)
-            inlineWeights |= hasWeights(m);
+        bool inlineWeights = hasWeights(thermalModel);
+        for (const auto &t : sweepThermalModel)
+            inlineWeights |= hasWeights(t);
         if (inlineWeights) {
             specError(*this,
                       "'trace' supplies the per-bank activity weights; "
@@ -983,141 +1349,43 @@ ScenarioSpec::lower() const
     if (!trace.empty())
         traceRecords = loadTrace(trace);
 
-    // --- the grid: an odometer over the eleven axes, last axis fastest.
-    // An empty axis contributes one "keep the base value" slot (a null
-    // coordinate below), so no in-band sentinel value can be swallowed.
-    const std::array<std::size_t, 11> dim = {
-        std::max<std::size_t>(sweepMemoryOrg.size(), 1),
-        std::max<std::size_t>(sweepTrafficShape.size(), 1),
-        std::max<std::size_t>(sweepCooling.size(), 1),
-        std::max<std::size_t>(sweepTInlet.size(), 1),
-        std::max<std::size_t>(sweepCopies.size(), 1),
-        std::max<std::size_t>(sweepSensorNoise.size(), 1),
-        std::max<std::size_t>(sweepDtmInterval.size(), 1),
-        std::max<std::size_t>(sweepEmergencyLevels.size(), 1),
-        std::max<std::size_t>(sweepDvfs.size(), 1),
-        std::max<std::size_t>(sweepRefresh.size(), 1),
-        std::max<std::size_t>(sweepThermalModel.size(), 1),
-    };
-    std::array<std::size_t, 11> ix{};
+    const SimConfig base =
+        onPlatform ? plat->sim
+                   : makeCh4Config(coolingByName(cooling),
+                                   ambient == "integrated");
+
+    // --- the grid: an odometer over the axes, last axis fastest. An
+    // empty axis contributes one "keep the base value" slot, so no
+    // in-band sentinel value can be swallowed.
+    std::vector<std::size_t> ix(resolved.size(), 0);
     for (;;) {
-        auto coord = [&](const auto &axis,
-                         std::size_t a) -> const auto * {
-            return axis.empty() ? nullptr : &axis[ix[a]];
-        };
-        const MemoryOrgSpec *orgSpec = coord(sweepMemoryOrg, 0);
-        const TrafficShapeSpec *shapeSpec = coord(sweepTrafficShape, 1);
-        const std::string *coolName = coord(sweepCooling, 2);
-        const double *inlet = coord(sweepTInlet, 3);
-        const int *copies = coord(sweepCopies, 4);
-        const double *noise = coord(sweepSensorNoise, 5);
-        const double *dtm = coord(sweepDtmInterval, 6);
-        const std::string *ladder = coord(sweepEmergencyLevels, 7);
-        const std::string *dvfsName = coord(sweepDvfs, 8);
-        const RefreshSpec *refreshSpec = coord(sweepRefresh, 9);
-        const ThermalModelSpec *thermalSpec = coord(sweepThermalModel, 10);
-        // Shapes resolve per organization point (orgPoints mirrors the
-        // org axis when it sweeps, else has the single base entry).
-        const std::size_t orgIdx = sweepOrgs.empty() ? 0 : ix[0];
-
         LoweredScenario::Point pt;
-
-        std::vector<std::string> parts;
-        if (orgSpec)
-            parts.push_back("org=" + orgSpec->label());
-        if (shapeSpec)
-            parts.push_back("shape=" + shapeSpec->label());
-        if (coolName)
-            parts.push_back("cooling=" + *coolName);
-        if (inlet)
-            parts.push_back("inlet=" + numStr(*inlet));
-        if (copies)
-            parts.push_back("copies=" + std::to_string(*copies));
-        if (noise)
-            parts.push_back("noise=" + numStr(*noise));
-        if (dtm)
-            parts.push_back("dtm=" + numStr(*dtm));
-        if (ladder)
-            parts.push_back("levels=" + *ladder);
-        if (dvfsName)
-            parts.push_back("dvfs=" + *dvfsName);
-        if (refreshSpec)
-            parts.push_back("refresh=" + refreshSpec->label());
-        if (thermalSpec)
-            parts.push_back("thermal=" + thermalSpec->label());
-        if (parts.empty()) {
-            pt.label = "base";
-        } else {
-            for (const auto &part : parts) {
-                if (!pt.label.empty())
-                    pt.label += ",";
-                pt.label += part;
+        SimConfig cfg = base;
+        // An axis's coordinate supersedes its scalar knob.
+        for (std::size_t a = 0; a < resolved.size(); ++a) {
+            const ResolvedAxis &r = resolved[a];
+            if (!r.values.empty()) {
+                const auto &coord = r.values[ix[a]];
+                pt.label += (pt.label.empty() ? "" : ",") + coord.label;
+                coord.edit(cfg);
+            } else if (r.base) {
+                r.base(cfg);
             }
         }
-
-        SimConfig cfg;
-        if (onPlatform) {
-            cfg = plat->sim;
-        } else {
-            cfg = makeCh4Config(coolingByName(coolName ? *coolName
-                                                       : cooling),
-                                ambient == "integrated");
-        }
-
-        // Spec-level overrides, then sweep coordinates
-        // (an axis supersedes the scalar member).
-        if (baseOrg)
-            cfg.org = *baseOrg;
-        if (!trafficShape.empty())
-            cfg.trafficShares = baseShapeByOrg[orgIdx];
-        if (tInlet)
-            cfg.ambient.tInlet = *tInlet;
-        if (copiesPerApp)
-            cfg.copiesPerApp = *copiesPerApp;
+        if (pt.label.empty())
+            pt.label = "base";
         if (instrScale)
             cfg.instrScale = *instrScale;
         if (maxSimTime)
             cfg.maxSimTime = *maxSimTime;
-        if (dtmInterval)
-            cfg.dtmInterval = *dtmInterval;
         if (remapInterval)
             cfg.remapInterval = *remapInterval;
         if (remapHysteresis)
             cfg.remapHysteresis = *remapHysteresis;
-        if (sensorNoiseSigma)
-            cfg.sensorNoiseSigma = *sensorNoiseSigma;
         if (sensorQuant)
             cfg.sensorQuant = *sensorQuant;
         if (sensorSeed)
             cfg.sensorSeed = *sensorSeed;
-        if (baseLadder)
-            cfg.emergencyLevels = *baseLadder;
-        if (baseDvfs)
-            cfg.dvfs = *baseDvfs;
-        if (baseRefresh)
-            cfg.refresh = *baseRefresh;
-        if (baseThermal)
-            cfg.bankGrid = baseThermal->grid;
-        if (orgSpec)
-            cfg.org = sweepOrgs[ix[0]];
-        if (shapeSpec)
-            cfg.trafficShares = sweepShapesByOrg[orgIdx][ix[1]];
-        if (inlet)
-            cfg.ambient.tInlet = *inlet;
-        if (copies)
-            cfg.copiesPerApp = *copies;
-        if (noise)
-            cfg.sensorNoiseSigma = *noise;
-        if (dtm)
-            cfg.dtmInterval = *dtm;
-        if (ladder)
-            cfg.emergencyLevels = sweepLadders[ix[7]];
-        if (dvfsName)
-            cfg.dvfs = sweepTables[ix[8]];
-        if (refreshSpec)
-            cfg.refresh = sweepRefreshModels[ix[9]];
-        if (thermalSpec)
-            cfg.bankGrid = sweepThermalModels[ix[10]].grid;
 
         // A trace decodes against the point's organization and grid:
         // per-DIMM shares always, per-bank heat weights when the
@@ -1181,9 +1449,9 @@ ScenarioSpec::lower() const
         out.points.push_back(std::move(pt));
 
         // Advance the odometer; carry out of axis 0 means we are done.
-        std::size_t k = dim.size();
+        std::size_t k = ix.size();
         for (; k > 0; --k) {
-            if (++ix[k - 1] < dim[k - 1])
+            if (++ix[k - 1] < resolved[k - 1].values.size())
                 break;
             ix[k - 1] = 0;
         }
@@ -1225,94 +1493,41 @@ ScenarioSpec::toJson() const
     if (!platform.empty())
         j.set("platform", platform);
 
-    Json cfg = Json::object();
-    if (platform.empty()) {
-        cfg.set("cooling", cooling);
-        cfg.set("ambient", ambient);
-    }
-    if (!emergencyLevels.empty())
-        cfg.set("emergency_levels", emergencyLevels);
-    if (!dvfs.empty())
-        cfg.set("dvfs", dvfs);
-    if (!memoryOrg.empty())
-        cfg.set("memory_org", orgToJson(memoryOrg));
-    if (!trafficShape.empty())
-        cfg.set("traffic_shape", shapeToJson(trafficShape));
-    if (!refresh.empty())
-        cfg.set("refresh", refreshToJson(refresh));
-    if (!thermalModel.empty())
-        cfg.set("thermal_model", thermalModelToJson(thermalModel));
+    Json knobs = Json::object();
+    for (const auto &a : axes())
+        if (a->knobSet(*this))
+            knobs.set(a->key, a->emit(*this));
+    if (platform.empty())
+        knobs.set("ambient", ambient);
     if (!trace.empty())
-        cfg.set("trace", trace);
-    if (tInlet)
-        cfg.set("t_inlet", *tInlet);
-    if (copiesPerApp)
-        cfg.set("copies_per_app", *copiesPerApp);
+        knobs.set("trace", trace);
     if (instrScale)
-        cfg.set("instr_scale", *instrScale);
+        knobs.set("instr_scale", *instrScale);
     if (maxSimTime)
-        cfg.set("max_sim_time", *maxSimTime);
-    if (dtmInterval)
-        cfg.set("dtm_interval", *dtmInterval);
+        knobs.set("max_sim_time", *maxSimTime);
     if (remapInterval)
-        cfg.set("remap_interval", *remapInterval);
+        knobs.set("remap_interval", *remapInterval);
     if (remapHysteresis)
-        cfg.set("remap_hysteresis", *remapHysteresis);
-    if (sensorNoiseSigma)
-        cfg.set("sensor_noise_sigma", *sensorNoiseSigma);
+        knobs.set("remap_hysteresis", *remapHysteresis);
     if (sensorQuant)
-        cfg.set("sensor_quant", *sensorQuant);
+        knobs.set("sensor_quant", *sensorQuant);
     if (sensorSeed)
-        cfg.set("sensor_seed", static_cast<double>(*sensorSeed));
-    if (!cfg.asObject().empty())
+        knobs.set("sensor_seed", static_cast<double>(*sensorSeed));
+    if (!knobs.asObject().empty()) {
+        Json cfg = Json::object();
+        for (const auto &key : configMembers())
+            if (const Json *v = knobs.find(key))
+                cfg.set(key, *v);
         j.set("config", std::move(cfg));
+    }
 
     j.set("workloads", toJsonList(workloads));
     j.set("policies", toJsonList(policies));
 
     Json sweep = Json::object();
-    if (!sweepMemoryOrg.empty()) {
-        Json a = Json::array();
-        for (const auto &o : sweepMemoryOrg)
-            a.push(orgToJson(o));
-        sweep.set("memory_org", std::move(a));
-    }
-    if (!sweepTrafficShape.empty()) {
-        Json a = Json::array();
-        for (const auto &t : sweepTrafficShape)
-            a.push(shapeToJson(t));
-        sweep.set("traffic_shape", std::move(a));
-    }
-    if (!sweepCooling.empty())
-        sweep.set("cooling", toJsonList(sweepCooling));
-    if (!sweepTInlet.empty())
-        sweep.set("t_inlet", toJsonList(sweepTInlet));
-    if (!sweepCopies.empty()) {
-        Json a = Json::array();
-        for (int c : sweepCopies)
-            a.push(c);
-        sweep.set("copies_per_app", std::move(a));
-    }
-    if (!sweepSensorNoise.empty())
-        sweep.set("sensor_noise_sigma", toJsonList(sweepSensorNoise));
-    if (!sweepDtmInterval.empty())
-        sweep.set("dtm_interval", toJsonList(sweepDtmInterval));
-    if (!sweepEmergencyLevels.empty())
-        sweep.set("emergency_levels", toJsonList(sweepEmergencyLevels));
-    if (!sweepDvfs.empty())
-        sweep.set("dvfs", toJsonList(sweepDvfs));
-    if (!sweepRefresh.empty()) {
-        Json a = Json::array();
-        for (const auto &r : sweepRefresh)
-            a.push(refreshToJson(r));
-        sweep.set("refresh", std::move(a));
-    }
-    if (!sweepThermalModel.empty()) {
-        Json a = Json::array();
-        for (const auto &t : sweepThermalModel)
-            a.push(thermalModelToJson(t));
-        sweep.set("thermal_model", std::move(a));
-    }
+    for (const auto &a : axes())
+        if (a->swept(*this))
+            sweep.set(a->key, a->emitSweep(*this));
     if (!sweep.asObject().empty())
         j.set("sweep", std::move(sweep));
 
@@ -1339,67 +1554,40 @@ ScenarioSpec::fromJson(const Json &j)
     if (const Json *cfg = j.find("config")) {
         if (!cfg->isObject())
             fatal("scenario: 'config' must be an object");
-        checkMembers(*cfg, "'config'",
-                     {"cooling", "ambient", "emergency_levels", "dvfs",
-                      "memory_org", "traffic_shape", "refresh",
-                      "thermal_model", "trace", "t_inlet",
-                      "copies_per_app", "instr_scale", "max_sim_time",
-                      "dtm_interval", "remap_interval", "remap_hysteresis",
-                      "sensor_noise_sigma", "sensor_quant",
-                      "sensor_seed"});
-        if (cfg->find("cooling"))
-            s.cooling = memberString(*cfg, "cooling");
-        if (cfg->find("ambient"))
-            s.ambient = memberString(*cfg, "ambient");
-        if (cfg->find("emergency_levels"))
-            s.emergencyLevels = memberString(*cfg, "emergency_levels");
-        if (cfg->find("dvfs"))
-            s.dvfs = memberString(*cfg, "dvfs");
-        if (cfg->find("memory_org")) {
-            s.memoryOrg =
-                orgFromJson(cfg->at("memory_org"), "'config.memory_org'");
-        }
-        if (cfg->find("traffic_shape")) {
-            s.trafficShape = shapeFromJson(cfg->at("traffic_shape"),
-                                           "'config.traffic_shape'");
-        }
-        if (cfg->find("refresh")) {
-            s.refresh =
-                refreshFromJson(cfg->at("refresh"), "'config.refresh'");
-        }
-        if (cfg->find("thermal_model")) {
-            s.thermalModel = thermalModelFromJson(
-                cfg->at("thermal_model"), "'config.thermal_model'");
-        }
-        if (cfg->find("trace")) {
-            s.trace = memberString(*cfg, "trace");
-            if (s.trace.empty())
-                fatal("scenario: 'trace' path must not be empty");
-        }
-        if (cfg->find("t_inlet"))
-            s.tInlet = memberNumber(*cfg, "t_inlet");
-        if (cfg->find("copies_per_app"))
-            s.copiesPerApp = memberInt(*cfg, "copies_per_app");
-        if (cfg->find("instr_scale"))
-            s.instrScale = memberNumber(*cfg, "instr_scale");
-        if (cfg->find("max_sim_time"))
-            s.maxSimTime = memberNumber(*cfg, "max_sim_time");
-        if (cfg->find("dtm_interval"))
-            s.dtmInterval = memberNumber(*cfg, "dtm_interval");
-        if (cfg->find("remap_interval"))
-            s.remapInterval = memberNumber(*cfg, "remap_interval");
-        if (cfg->find("remap_hysteresis"))
-            s.remapHysteresis = memberNumber(*cfg, "remap_hysteresis");
-        if (cfg->find("sensor_noise_sigma"))
-            s.sensorNoiseSigma = memberNumber(*cfg, "sensor_noise_sigma");
-        if (cfg->find("sensor_quant"))
-            s.sensorQuant = memberNumber(*cfg, "sensor_quant");
-        if (cfg->find("sensor_seed")) {
-            double v = memberNumber(*cfg, "sensor_seed");
-            if (v != std::floor(v) || v < 0.0)
-                fatal("scenario: 'sensor_seed' must be a non-negative "
-                      "integer");
-            s.sensorSeed = static_cast<std::uint64_t>(v);
+        checkMembers(*cfg, "'config'", configMembers());
+        // In documented member order, so which bad member reports first
+        // does not depend on the document's member order.
+        for (const std::string &key : configMembers()) {
+            if (!cfg->find(key))
+                continue;
+            if (const Axis *a = findAxis(key)) {
+                a->parse(s, *cfg);
+            } else if (key == "ambient") {
+                s.ambient = memberString(*cfg, key);
+            } else if (key == "trace") {
+                s.trace = memberString(*cfg, key);
+                if (s.trace.empty())
+                    fatal("scenario: 'trace' path must not be empty");
+            } else if (key == "sensor_seed") {
+                double v = memberNumber(*cfg, key);
+                if (v != std::floor(v) || v < 0.0)
+                    fatal("scenario: 'sensor_seed' must be a non-negative "
+                          "integer");
+                s.sensorSeed =
+                    jsonInteger<std::uint64_t>(v, "scenario: 'sensor_seed'");
+            } else { // the remaining knobs are plain numbers
+                const double v = memberNumber(*cfg, key);
+                if (key == "instr_scale")
+                    s.instrScale = v;
+                else if (key == "max_sim_time")
+                    s.maxSimTime = v;
+                else if (key == "remap_interval")
+                    s.remapInterval = v;
+                else if (key == "remap_hysteresis")
+                    s.remapHysteresis = v;
+                else if (key == "sensor_quant")
+                    s.sensorQuant = v;
+            }
         }
     }
 
@@ -1411,88 +1599,10 @@ ScenarioSpec::fromJson(const Json &j)
     if (const Json *sweep = j.find("sweep")) {
         if (!sweep->isObject())
             fatal("scenario: 'sweep' must be an object");
-        checkMembers(*sweep, "'sweep'",
-                     {"memory_org", "traffic_shape", "cooling", "t_inlet",
-                      "copies_per_app", "sensor_noise_sigma",
-                      "dtm_interval", "emergency_levels", "dvfs",
-                      "refresh", "thermal_model"});
-        if (sweep->find("memory_org")) {
-            const Json &a = sweep->at("memory_org");
-            if (!a.isArray()) {
-                fatal("scenario: 'sweep.memory_org' must be an array of "
-                      "catalog names or {channels, dimms} objects");
-            }
-            for (const Json &e : a.asArray()) {
-                s.sweepMemoryOrg.push_back(
-                    orgFromJson(e, "'sweep.memory_org' entry"));
-            }
-        }
-        if (sweep->find("traffic_shape")) {
-            const Json &a = sweep->at("traffic_shape");
-            if (!a.isArray()) {
-                fatal("scenario: 'sweep.traffic_shape' must be an array "
-                      "of catalog shape names or per-DIMM share vectors");
-            }
-            for (const Json &e : a.asArray()) {
-                s.sweepTrafficShape.push_back(
-                    shapeFromJson(e, "'sweep.traffic_shape' entry"));
-            }
-        }
-        if (sweep->find("cooling")) {
-            s.sweepCooling =
-                stringList(sweep->at("cooling"), "sweep.cooling");
-        }
-        if (sweep->find("t_inlet")) {
-            s.sweepTInlet =
-                numberList(sweep->at("t_inlet"), "sweep.t_inlet");
-        }
-        if (sweep->find("copies_per_app")) {
-            for (double v : numberList(sweep->at("copies_per_app"),
-                                       "sweep.copies_per_app")) {
-                if (v != std::floor(v)) {
-                    fatal("scenario: sweep.copies_per_app must contain "
-                          "integers");
-                }
-                s.sweepCopies.push_back(static_cast<int>(v));
-            }
-        }
-        if (sweep->find("sensor_noise_sigma")) {
-            s.sweepSensorNoise = numberList(
-                sweep->at("sensor_noise_sigma"), "sweep.sensor_noise_sigma");
-        }
-        if (sweep->find("dtm_interval")) {
-            s.sweepDtmInterval =
-                numberList(sweep->at("dtm_interval"), "sweep.dtm_interval");
-        }
-        if (sweep->find("emergency_levels")) {
-            s.sweepEmergencyLevels = stringList(
-                sweep->at("emergency_levels"), "sweep.emergency_levels");
-        }
-        if (sweep->find("dvfs"))
-            s.sweepDvfs = stringList(sweep->at("dvfs"), "sweep.dvfs");
-        if (sweep->find("refresh")) {
-            const Json &a = sweep->at("refresh");
-            if (!a.isArray()) {
-                fatal("scenario: 'sweep.refresh' must be an array of "
-                      "catalog refresh model names or band tables");
-            }
-            for (const Json &e : a.asArray()) {
-                s.sweepRefresh.push_back(
-                    refreshFromJson(e, "'sweep.refresh' entry"));
-            }
-        }
-        if (sweep->find("thermal_model")) {
-            const Json &a = sweep->at("thermal_model");
-            if (!a.isArray()) {
-                fatal("scenario: 'sweep.thermal_model' must be an array "
-                      "of catalog thermal model names or "
-                      "{grid_x, grid_z[, bank_weights]} objects");
-            }
-            for (const Json &e : a.asArray()) {
-                s.sweepThermalModel.push_back(thermalModelFromJson(
-                    e, "'sweep.thermal_model' entry"));
-            }
-        }
+        checkMembers(*sweep, "'sweep'", sweepAxisKeys());
+        for (const auto &a : axes())
+            if (const Json *v = sweep->find(a->key))
+                a->parseSweep(s, *v);
     }
     return s;
 }
@@ -1730,14 +1840,14 @@ resultSchemaVersionOf(const Json &doc, const std::string &where,
         v->asNumber() < 1) {
         fatal(where + ": 'schema_version' must be a positive integer");
     }
-    const int ver = static_cast<int>(v->asNumber());
-    if (ver > max_version) {
-        fatal(where + ": schema version " + std::to_string(ver) +
+    // Compared before converting: a huge version is newer, not UB.
+    if (v->asNumber() > max_version) {
+        fatal(where + ": schema version " + numStr(v->asNumber()) +
               " is newer than this binary's " +
               std::to_string(max_version) +
               "; upgrade memtherm to read this file");
     }
-    return ver;
+    return jsonInteger<int>(v->asNumber(), where + ": 'schema_version'");
 }
 
 Json

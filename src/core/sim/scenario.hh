@@ -328,6 +328,13 @@ struct ScenarioSpec
 };
 
 /**
+ * The keys of the sweep axes (`sweep.<key>`, each also a `config`
+ * knob), in grid order: the first axis varies slowest, and point labels
+ * list their coordinates in this order.
+ */
+const std::vector<std::string> &sweepAxisKeys();
+
+/**
  * One failed run of a scenario grid, identified well enough to debug
  * (the grid coordinate and the run's identity, not just a bare what()).
  */

@@ -29,8 +29,8 @@
 
 #include "core/power/power_model.hh"
 #include "core/thermal/bank_grid.hh"
-#include "core/thermal/dimm_thermal.hh"
 #include "core/thermal/thermal_batch.hh"
+#include "core/thermal/thermal_params.hh"
 
 namespace memtherm
 {
@@ -46,6 +46,14 @@ struct MemoryOrgConfig
     int nDimmsPerChannel = 4;   ///< DIMMs per physical channel
 
     bool operator==(const MemoryOrgConfig &) const = default;
+};
+
+/** Temperatures of one DIMM's two hot spots: its AMB and the DRAM chip
+ *  next to it (the hottest). */
+struct DimmTemps
+{
+    Celsius amb = 0.0;
+    Celsius dram = 0.0;
 };
 
 /** One advance() step's outputs. */

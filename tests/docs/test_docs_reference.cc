@@ -7,7 +7,7 @@
  * subcommand and every `memtherm list` catalog keyword — so a new
  * catalog entry or subcommand cannot land undocumented. README.md must
  * keep linking into docs/, and both README.md and docs/scenarios.md are
- * checked against one list of the schema's sweep axes.
+ * checked against the scenario layer's own sweep-axis table.
  */
 
 #include <gtest/gtest.h>
@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "core/sim/registry.hh"
+#include "core/sim/scenario.hh"
 
 #ifndef MEMTHERM_SOURCE_DIR
 #error "tests need MEMTHERM_SOURCE_DIR (set by CMakeLists.txt)"
@@ -79,13 +80,6 @@ TEST(DocsReference, ScenariosManualCoversEveryCatalogName)
                    "thermal model");
 }
 
-/** The `sweep` axes of the JSON schema (ScenarioSpec::fromJson). */
-const std::vector<std::string> kSweepAxes = {
-    "memory_org",   "traffic_shape",    "cooling",
-    "t_inlet",      "copies_per_app",   "sensor_noise_sigma",
-    "dtm_interval", "emergency_levels", "dvfs",
-    "refresh",      "thermal_model"};
-
 /** English count words, for docs that spell out how many axes exist. */
 const char *const kCountWords[] = {
     "zero",  "one",   "two",  "three", "four",   "five",   "six",
@@ -93,14 +87,15 @@ const char *const kCountWords[] = {
 
 TEST(DocsReference, ScenariosManualCoversEverySweepAxisAndKnob)
 {
+    const std::vector<std::string> &axes = sweepAxisKeys();
     const std::string doc = readFile("docs/scenarios.md");
-    for (const auto &axis : kSweepAxes) {
+    for (const auto &axis : axes) {
         EXPECT_NE(doc.find("`" + axis + "`"), std::string::npos)
             << "docs/scenarios.md does not mention sweep axis '" << axis
             << "'";
     }
-    ASSERT_LT(kSweepAxes.size(), std::size(kCountWords));
-    EXPECT_NE(doc.find(std::string("the ") + kCountWords[kSweepAxes.size()] +
+    ASSERT_LT(axes.size(), std::size(kCountWords));
+    EXPECT_NE(doc.find(std::string("the ") + kCountWords[axes.size()] +
                        " axes"),
               std::string::npos)
         << "docs/scenarios.md miscounts the sweep axes";
@@ -118,11 +113,12 @@ TEST(DocsReference, ScenariosManualCoversEverySweepAxisAndKnob)
 
 TEST(DocsReference, ReadmeListsEverySweepAxis)
 {
+    const std::vector<std::string> &axes = sweepAxisKeys();
     const std::string readme = readFile("README.md");
-    ASSERT_LT(kSweepAxes.size(), std::size(kCountWords));
+    ASSERT_LT(axes.size(), std::size(kCountWords));
     // The overview's axis list, "<count> `sweep` axes (`a`, `b`, ...)",
     // names exactly the schema's axes.
-    const std::string count = kCountWords[kSweepAxes.size()];
+    const std::string count = kCountWords[axes.size()];
     const std::string intro = count + " `sweep` axes (";
     const std::size_t begin = readme.find(intro);
     ASSERT_NE(begin, std::string::npos)
@@ -130,22 +126,22 @@ TEST(DocsReference, ReadmeListsEverySweepAxis)
     const std::size_t end = readme.find(')', begin + intro.size());
     ASSERT_NE(end, std::string::npos);
     const std::string list = readme.substr(begin, end - begin);
-    for (const auto &axis : kSweepAxes) {
+    for (const auto &axis : axes) {
         EXPECT_NE(list.find("`" + axis + "`"), std::string::npos)
             << "README.md's sweep-axis list omits '" << axis << "'";
     }
     EXPECT_EQ(std::count(list.begin(), list.end(), '`'),
-              static_cast<std::ptrdiff_t>(2 * (kSweepAxes.size() + 1)))
+              static_cast<std::ptrdiff_t>(2 * (axes.size() + 1)))
         << "README.md's sweep-axis list names an axis the schema lacks";
     // Every other place README counts the axes agrees.
     for (std::size_t n = 0; n < std::size(kCountWords); ++n) {
-        if (n == kSweepAxes.size())
+        if (n == axes.size())
             continue;
         for (const char *phrase : {" sweep axes", " `sweep` axes"}) {
             EXPECT_EQ(readme.find(kCountWords[n] + std::string(phrase)),
                       std::string::npos)
                 << "README.md says \"" << kCountWords[n] << phrase
-                << "\"; the schema has " << kSweepAxes.size();
+                << "\"; the schema has " << axes.size();
         }
     }
     EXPECT_NE(readme.find("all " + count + " sweep axes"),

@@ -141,7 +141,8 @@ TEST(PolicyRegistry, BuildContextLaddersApplyToLeveledSchemes)
 
     for (const char *name : {"DTM-BW", "DTM-ACG", "DTM-CDVFS"}) {
         SCOPED_TRACE(name);
-        auto p = reg.make(name, PolicyBuildContext{0.01, pe});
+        auto p = reg.make(name, PolicyBuildContext{.dtmInterval = 0.01,
+                                                   .emergencyLevels = pe});
         auto *lp = dynamic_cast<LeveledPolicy *>(p.get());
         ASSERT_NE(lp, nullptr);
         EXPECT_EQ(lp->levelTable().ambBounds(), pe.ambBounds());
@@ -158,7 +159,9 @@ TEST(PolicyRegistry, BuildContextLaddersApplyToLeveledSchemes)
     // The Chapter 4 action tables are five rows; other depths are a
     // usable configuration error, not a panic.
     EmergencyLevels shallow({100.0}, {80.0});
-    EXPECT_THROW(reg.make("DTM-BW", PolicyBuildContext{0.01, shallow}),
+    EXPECT_THROW(reg.make("DTM-BW",
+                          PolicyBuildContext{.dtmInterval = 0.01,
+                                             .emergencyLevels = shallow}),
                  FatalError);
 }
 

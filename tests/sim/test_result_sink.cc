@@ -462,6 +462,31 @@ TEST(ResultStream, HeaderSchemaVersionAcceptRejectMatrix)
     zero.set("schema_version", 0);
     EXPECT_THROW(scanStream(withHeader(zero, "schema_zero.jsonl")),
                  FatalError);
+
+    // Integers beyond the C++ type's range are refused with a located
+    // error instead of converting with undefined behaviour.
+    auto expectRefused = [&](const char *member, double value,
+                             const std::string &msg) {
+        SCOPED_TRACE(member);
+        Json h = hdr;
+        h.set(member, value);
+        try {
+            scanStream(withHeader(h, "schema_range.jsonl"));
+            ADD_FAILURE() << "accepted " << member << " = " << value;
+        } catch (const FatalError &e) {
+            EXPECT_NE(std::string(e.what()).find(msg), std::string::npos)
+                << e.what();
+        }
+    };
+    expectRefused("schema_version", 1e20,
+                  "schema version 1e+20 is newer than this binary's");
+    expectRefused("format", 1e20,
+                  "member 'format' must be an integer in [-2147483648, "
+                  "2147483647] (got 1e+20)");
+    expectRefused("format", 1.5, "member 'format' must be an integer in");
+    expectRefused("total_runs", 1e30,
+                  "member 'total_runs' must be an integer in [0, "
+                  "18446744073709551615] (got 1e+30)");
 }
 
 TEST(ResultStream, ScanRejectsMidFileCorruption)

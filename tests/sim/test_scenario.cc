@@ -10,12 +10,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
 #include <limits>
 #include <string>
 #include <vector>
 
 #include "common/logging.hh"
 #include "core/sim/registry.hh"
+#include "core/sim/result_sink.hh"
 #include "core/sim/scenario.hh"
 #include "testbed/platform.hh"
 
@@ -1376,6 +1378,590 @@ TEST(Scenario, TrafficShapeAxisMatchesHandCodedEngineBitExactly)
     EXPECT_GT(back.peakAmbPerDimm[2], back.peakAmbPerDimm[0]);
     EXPECT_GT(back.peakDramPerDimm[2], back.peakDramPerDimm[0]);
     EXPECT_GT(back.avgPowerPerDimm[3], back.avgPowerPerDimm[0]);
+}
+
+TEST(ScenarioSpec, IntegerMembersOutOfRangeAreRejected)
+{
+    // Integral JSON numbers beyond the member's C++ type are refused
+    // with a located error; converting them would be undefined.
+    const std::vector<std::pair<const char *, const char *>> cases = {
+        {R"("config": {"copies_per_app": 1e20})",
+         "scenario: member 'copies_per_app' must be an integer in "
+         "[-2147483648, 2147483647] (got 1e+20)"},
+        {R"("sweep": {"copies_per_app": [2, -1e20]})",
+         "scenario: sweep.copies_per_app value must be an integer in "
+         "[-2147483648, 2147483647] (got -1e+20)"},
+        {R"("config": {"memory_org": {"channels": 4294967296,
+            "dimms": 2}})",
+         "scenario: member 'channels' must be an integer in "
+         "[-2147483648, 2147483647] (got 4294967296)"},
+        {R"("config": {"sensor_seed": 1e30})",
+         "scenario: 'sensor_seed' must be an integer in [0, "
+         "18446744073709551615] (got 1e+30)"},
+    };
+    for (const auto &[members, expect] : cases) {
+        const std::string doc =
+            std::string(R"({"name": "int", "workloads": ["W1"], )") +
+            R"("policies": ["No-limit"], )" + members + "}";
+        try {
+            ScenarioSpec::fromJson(Json::parse(doc));
+            ADD_FAILURE() << "accepted: " << doc;
+        } catch (const FatalError &e) {
+            EXPECT_NE(std::string(e.what()).find(expect), std::string::npos)
+                << e.what();
+        }
+    }
+
+    // The largest seed a uint64 holds below 2^64 still parses exactly.
+    const ScenarioSpec big = ScenarioSpec::fromJson(Json::parse(
+        R"({"config": {"sensor_seed": 18446744073709549568}})"));
+    EXPECT_EQ(big.sensorSeed, 18446744073709549568ull);
+
+    // A result document from a far-future binary is newer, not a
+    // misread negative version.
+    Json doc = Json::object();
+    doc.set("schema_version", 1e20);
+    try {
+        (void)resultSchemaVersionOf(doc, "'doc'");
+        FAIL() << "accepted schema_version 1e20";
+    } catch (const FatalError &e) {
+        EXPECT_NE(std::string(e.what()).find(
+                      "'doc': schema version 1e+20 is newer than this "
+                      "binary's 3"),
+                  std::string::npos)
+            << e.what();
+    }
+}
+
+/**
+ * Documentation pin: every validation message docs/scenarios.md lists,
+ * each triggered by a spec that breaks exactly one rule, plus the spec
+ * hash and point labels of every shipped example. A refactor of the
+ * scenario layer must leave this test untouched and green: it pins
+ * the error text users see, the `--resume` spec hash, and the label
+ * grammar and point order of the grid.
+ */
+TEST(ScenarioSpec, PinsDocumentedErrorsExampleHashesAndLabels)
+{
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double inf = std::numeric_limits<double>::infinity();
+    // A case's document is the base lineup plus @c members (JSON object
+    // members, spliced in verbatim); @c edit then mutates the parsed
+    // spec for values JSON cannot spell (non-finite numbers).
+    struct Case
+    {
+        const char *members;
+        std::function<void(ScenarioSpec &)> edit;
+        const char *expect;
+    };
+    // A two-level table, too short for the Chapter 4 CDVFS actions.
+    DvfsRegistry::instance().add(
+        "pin_two_level",
+        DvfsTable({simulatedCmpDvfs().at(0), simulatedCmpDvfs().at(1)}));
+    const std::vector<Case> cases = {
+        // --- document grammar and unknown members
+        {R"("bogus": 1)", {},
+         "scenario: unknown member 'bogus' in the scenario (valid: name, "
+         "description, platform, config, workloads, policies, sweep)"},
+        {R"("config": {"bogus": 1})", {},
+         "scenario: unknown member 'bogus' in 'config' (valid: cooling, "
+         "ambient, emergency_levels, dvfs, memory_org, traffic_shape, "
+         "refresh, thermal_model, trace, t_inlet, copies_per_app, "
+         "instr_scale, max_sim_time, dtm_interval, remap_interval, "
+         "remap_hysteresis, sensor_noise_sigma, sensor_quant, "
+         "sensor_seed)"},
+        {R"("sweep": {"bogus": []})", {},
+         "scenario: unknown member 'bogus' in 'sweep' (valid: memory_org, "
+         "traffic_shape, cooling, t_inlet, copies_per_app, "
+         "sensor_noise_sigma, dtm_interval, emergency_levels, dvfs, "
+         "refresh, thermal_model)"},
+        {R"("config": {"memory_org": {"channels": 2, "dimms": 2, "x": 1}})",
+         {},
+         "scenario: unknown member 'x' in 'config.memory_org' (valid: "
+         "channels, dimms)"},
+        {R"("config": {"refresh": [{"min_temp": 0, "bw_fraction": 0,
+            "dram_power_w": 0, "x": 1}]})",
+         {},
+         "scenario: unknown member 'x' in 'config.refresh' band (valid: "
+         "min_temp, bw_fraction, dram_power_w, latency_mult)"},
+        {R"("config": {"thermal_model": {"grid_x": 2, "grid_z": 2,
+            "x": 1}})",
+         {},
+         "scenario: unknown member 'x' in 'config.thermal_model' (valid: "
+         "grid_x, grid_z, bank_weights)"},
+        {R"("sweep": {"memory_org": [{"channels": 2, "x": 1}]})", {},
+         "scenario: unknown member 'x' in 'sweep.memory_org' entry "
+         "(valid: channels, dimms)"},
+        {R"("config": {"cooling": 1})", {},
+         "scenario: member 'cooling' must be a string"},
+        {R"("config": {"t_inlet": "hot"})", {},
+         "scenario: member 't_inlet' must be a number"},
+        {R"("config": {"copies_per_app": 2.5})", {},
+         "scenario: member 'copies_per_app' must be an integer"},
+        {R"("config": {"sensor_seed": -1})", {},
+         "scenario: 'sensor_seed' must be a non-negative integer"},
+        {R"("config": {"trace": ""})", {},
+         "scenario: 'trace' path must not be empty"},
+        {R"("config": {"memory_org": {"channels": 2}})", {},
+         "scenario: 'config.memory_org' needs both 'channels' and "
+         "'dimms'"},
+        {R"("config": {"memory_org": ""})", {},
+         "scenario: 'config.memory_org' name must not be empty"},
+        {R"("config": {"memory_org": 4})", {},
+         "scenario: 'config.memory_org' must be a catalog name or a "
+         "{channels, dimms} object"},
+        {R"("config": {"traffic_shape": 4})", {},
+         "scenario: 'config.traffic_shape' must be a catalog shape name "
+         "or an array of per-DIMM shares"},
+        {R"("config": {"traffic_shape": []})", {},
+         "scenario: 'config.traffic_shape' share vector must not be "
+         "empty"},
+        {R"("config": {"refresh": 4})", {},
+         "scenario: 'config.refresh' must be a catalog refresh model name "
+         "or an array of {min_temp, bw_fraction, dram_power_w[, "
+         "latency_mult]} bands"},
+        {R"("config": {"refresh": []})", {},
+         "scenario: 'config.refresh' band table must not be empty"},
+        {R"("config": {"refresh": [1]})", {},
+         "scenario: 'config.refresh' bands must be objects"},
+        {R"("config": {"refresh": [{"min_temp": 0}]})", {},
+         "scenario: 'config.refresh' band needs 'min_temp', "
+         "'bw_fraction' and 'dram_power_w'"},
+        {R"("config": {"thermal_model": {"grid_x": 2}})", {},
+         "scenario: 'config.thermal_model' needs both 'grid_x' and "
+         "'grid_z'"},
+        {R"("config": {"thermal_model": 4})", {},
+         "scenario: 'config.thermal_model' must be a catalog thermal "
+         "model name or a {grid_x, grid_z[, bank_weights]} object"},
+        // --- 'sweep.<axis>' must be an array, for every axis
+        {R"("sweep": {"memory_org": "2x4"})", {},
+         "scenario: 'sweep.memory_org' must be an array of catalog names "
+         "or {channels, dimms} objects"},
+        {R"("sweep": {"traffic_shape": "uniform"})", {},
+         "scenario: 'sweep.traffic_shape' must be an array of catalog "
+         "shape names or per-DIMM share vectors"},
+        {R"("sweep": {"cooling": "AOHS_1.5"})", {},
+         "scenario: member 'sweep.cooling' must be an array of strings"},
+        {R"("sweep": {"t_inlet": 40})", {},
+         "scenario: member 'sweep.t_inlet' must be an array of numbers"},
+        {R"("sweep": {"copies_per_app": 4})", {},
+         "scenario: member 'sweep.copies_per_app' must be an array of "
+         "numbers"},
+        {R"("sweep": {"sensor_noise_sigma": 1})", {},
+         "scenario: member 'sweep.sensor_noise_sigma' must be an array "
+         "of numbers"},
+        {R"("sweep": {"dtm_interval": 0.1})", {},
+         "scenario: member 'sweep.dtm_interval' must be an array of "
+         "numbers"},
+        {R"("sweep": {"emergency_levels": "ch4"})", {},
+         "scenario: member 'sweep.emergency_levels' must be an array of "
+         "strings"},
+        {R"("sweep": {"dvfs": "xeon5160"})", {},
+         "scenario: member 'sweep.dvfs' must be an array of strings"},
+        {R"("sweep": {"refresh": "none"})", {},
+         "scenario: 'sweep.refresh' must be an array of catalog refresh "
+         "model names or band tables"},
+        {R"("sweep": {"thermal_model": "lumped"})", {},
+         "scenario: 'sweep.thermal_model' must be an array of catalog "
+         "thermal model names or {grid_x, grid_z[, bank_weights]} "
+         "objects"},
+        {R"("sweep": {"cooling": [1]})", {},
+         "scenario: member 'sweep.cooling' must contain strings"},
+        {R"("sweep": {"t_inlet": ["x"]})", {},
+         "scenario: member 'sweep.t_inlet' must contain numbers"},
+        {R"("sweep": {"copies_per_app": [2.5]})", {},
+         "scenario: sweep.copies_per_app must contain integers"},
+        // --- missing lineups
+        {R"("workloads": [])", {}, "scenario 'pin': no workloads given"},
+        {R"("policies": [])", {}, "scenario 'pin': no policies given"},
+        // --- platform conflicts
+        {R"("platform": "SR1500AL", "sweep": {"cooling": ["AOHS_1.5"]})",
+         {},
+         "scenario 'pin': platform scenarios fix the cooling setup; "
+         "remove the cooling sweep"},
+        {R"("platform": "SR1500AL", "config": {"cooling": "FDHS_1.0"})",
+         {},
+         "scenario 'pin': platform scenarios fix cooling and ambient; "
+         "remove those members"},
+        {R"("platform": "SR1500AL", "config": {"ambient": "integrated"})",
+         {},
+         "scenario 'pin': platform scenarios fix cooling and ambient; "
+         "remove those members"},
+        {R"("platform": "SR1500AL", "config": {"dvfs": "xeon5160"})", {},
+         "scenario 'pin': platform scenarios fix the DVFS table and "
+         "derive the emergency ladders from the platform; remove the "
+         "dvfs/emergency_levels members and sweeps"},
+        {R"("platform": "SR1500AL", "sweep": {"emergency_levels": ["ch4"]})",
+         {},
+         "scenario 'pin': platform scenarios fix the DVFS table and "
+         "derive the emergency ladders from the platform; remove the "
+         "dvfs/emergency_levels members and sweeps"},
+        {R"("platform": "SR1500AL", "sweep": {"memory_org": ["2x4"]})", {},
+         "scenario 'pin': platform scenarios fix the memory organization "
+         "(the testbed hardware fixes its DIMM population); remove the "
+         "memory_org member and sweep"},
+        {R"("platform": "SR1500AL", "config": {"traffic_shape": "uniform"})",
+         {},
+         "scenario 'pin': platform scenarios use the testbed's measured "
+         "traffic distribution; remove the traffic_shape member and "
+         "sweep"},
+        {R"("platform": "SR1500AL", "sweep": {"refresh": ["none"]})", {},
+         "scenario 'pin': platform scenarios measure the testbed's real "
+         "DRAM, refresh included; remove the refresh member and sweep"},
+        {R"("platform": "SR1500AL", "config": {"thermal_model": "lumped"})",
+         {},
+         "scenario 'pin': platform scenarios measure the testbed's real "
+         "DIMMs at DIMM granularity; remove the thermal_model member and "
+         "sweep"},
+        {R"("platform": "SR1500AL", "config": {"trace": "t.trace"})", {},
+         "scenario 'pin': platform scenarios use the testbed's measured "
+         "traffic distribution; remove the trace member"},
+        {R"("platform": "SR1500AL", "config": {"remap_interval": 1})", {},
+         "scenario 'pin': platform scenarios use the testbed's measured "
+         "traffic distribution, so remap policies have nothing to "
+         "redistribute; remove the remap_interval/remap_hysteresis "
+         "members"},
+        {R"("platform": "SR1500AL", "policies": ["DTM-TS"])", {},
+         "scenario 'pin': unknown platform policy 'DTM-TS' (valid: "
+         "No-limit, "},
+        // --- unknown names
+        {R"("policies": ["DTM-TURBO"])", {},
+         "scenario 'pin': unknown policy 'DTM-TURBO' (valid: No-limit, "},
+        {R"("workloads": ["W99"])", {}, "unknown workload 'W99' (valid: "},
+        {R"("config": {"cooling": "WATER"})", {},
+         "unknown cooling 'WATER' (valid: "},
+        {R"("sweep": {"cooling": ["WATER"]})", {},
+         "unknown cooling 'WATER' (valid: "},
+        {R"("config": {"ambient": "outdoor"})", {},
+         "unknown ambient model 'outdoor' (valid: isolated, integrated)"},
+        {R"("sweep": {"memory_org": ["9x9"]})", {},
+         "unknown memory organization '9x9' (valid: ch4_4x4, "},
+        {R"("config": {"traffic_shape": "spiky"})", {},
+         "unknown traffic shape 'spiky' (valid: uniform, front_heavy, "
+         "back_heavy, hot_dimm0, linear_taper)"},
+        {R"("sweep": {"emergency_levels": ["ch9"]})", {},
+         "unknown emergency ladder 'ch9' (valid: ch4, "},
+        {R"("config": {"dvfs": "turbo"})", {},
+         "unknown DVFS table 'turbo' (valid: simulated_cmp, xeon5160"},
+        {R"("sweep": {"refresh": ["ddr9"]})", {},
+         "unknown refresh model 'ddr9' (valid: none, ddr2_2x, aldram)"},
+        {R"("config": {"thermal_model": "fem"})", {},
+         "unknown thermal model 'fem' (valid: lumped, bank_grid)"},
+        // --- scalar ranges
+        {R"("config": {"instr_scale": 0})", {},
+         "scenario 'pin': instr_scale must be > 0"},
+        {R"("config": {"max_sim_time": 0})", {},
+         "scenario 'pin': max_sim_time must be > 0"},
+        {R"("config": {"dtm_interval": 0})", {},
+         "scenario 'pin': dtm_interval must be > 0"},
+        {R"("config": {"remap_interval": 0})", {},
+         "scenario 'pin': remap_interval must be > 0"},
+        {R"("config": {"remap_hysteresis": -1})", {},
+         "scenario 'pin': remap_hysteresis must be >= 0"},
+        {R"("config": {"sensor_noise_sigma": -1})", {},
+         "scenario 'pin': sensor_noise_sigma must be >= 0"},
+        {R"("config": {"sensor_quant": -1})", {},
+         "scenario 'pin': sensor_quant must be >= 0"},
+        {R"("config": {"copies_per_app": 0})", {},
+         "scenario 'pin': copies_per_app must be >= 1"},
+        {"", [=](ScenarioSpec &s) { s.tInlet = nan; },
+         "scenario 'pin': t_inlet must be finite"},
+        {"", [=](ScenarioSpec &s) { s.instrScale = inf; },
+         "scenario 'pin': instr_scale must be finite"},
+        {"", [=](ScenarioSpec &s) { s.maxSimTime = nan; },
+         "scenario 'pin': max_sim_time must be finite"},
+        {"", [=](ScenarioSpec &s) { s.dtmInterval = inf; },
+         "scenario 'pin': dtm_interval must be finite"},
+        {"", [=](ScenarioSpec &s) { s.remapInterval = nan; },
+         "scenario 'pin': remap_interval must be finite"},
+        {"", [=](ScenarioSpec &s) { s.remapHysteresis = -inf; },
+         "scenario 'pin': remap_hysteresis must be finite"},
+        {"", [=](ScenarioSpec &s) { s.sensorNoiseSigma = nan; },
+         "scenario 'pin': sensor_noise_sigma must be finite"},
+        {"", [=](ScenarioSpec &s) { s.sensorQuant = inf; },
+         "scenario 'pin': sensor_quant must be finite"},
+        {R"("config": {"dtm_interval": 0.005})", {},
+         "scenario 'pin': dtm_interval 0.005 is below the simulator "
+         "window (0.01 s)"},
+        {R"("sweep": {"dtm_interval": [0.02, 0.005]})", {},
+         "scenario 'pin': dtm_interval 0.005 is below the simulator "
+         "window (0.01 s)"},
+        {R"("config": {"remap_interval": 0.005})", {},
+         "scenario 'pin': remap_interval 0.005 is below the simulator "
+         "window (0.01 s)"},
+        {R"("config": {"remap_interval": 0.015})", {},
+         "scenario 'pin': remap_interval 0.015 is not a whole multiple "
+         "of dtm_interval 0.01 (remap decisions run inside DTM "
+         "decisions, so the periods must nest)"},
+        {R"("config": {"remap_interval": 1},
+            "sweep": {"dtm_interval": [0.1, 0.3]})",
+         {},
+         "scenario 'pin': remap_interval 1 is not a whole multiple of "
+         "dtm_interval 0.3"},
+        {R"("config": {"dvfs": "pin_two_level"},
+            "policies": ["DTM-CDVFS"])",
+         {},
+         "scenario 'pin': DVFS table 'pin_two_level' has 2 levels; "
+         "DTM-CDVFS selects levels 0..3"},
+        // --- sweep value ranges
+        {"", [=](ScenarioSpec &s) { s.sweepTInlet = {40, nan}; },
+         "scenario 'pin': sweep.t_inlet values must be finite"},
+        {"", [=](ScenarioSpec &s) { s.sweepSensorNoise = {inf}; },
+         "scenario 'pin': sweep.sensor_noise_sigma values must be "
+         "finite"},
+        {"", [=](ScenarioSpec &s) { s.sweepDtmInterval = {-inf}; },
+         "scenario 'pin': sweep.dtm_interval values must be finite"},
+        {R"("sweep": {"sensor_noise_sigma": [-0.5]})", {},
+         "scenario 'pin': sweep.sensor_noise_sigma values must be >= 0"},
+        {R"("sweep": {"dtm_interval": [0]})", {},
+         "scenario 'pin': sweep.dtm_interval values must be > 0"},
+        {R"("sweep": {"copies_per_app": [2, 0]})", {},
+         "scenario 'pin': copies_per_app sweep values must be >= 1"},
+        // --- duplicates, by label
+        {R"("workloads": ["W1", "W1"])", {},
+         "scenario 'pin': duplicate workload 'W1'"},
+        {R"("policies": ["No-limit", "No-limit"])", {},
+         "scenario 'pin': duplicate policy 'No-limit'"},
+        {R"("sweep": {"cooling": ["FDHS_1.0", "FDHS_1.0"]})", {},
+         "scenario 'pin': duplicate sweep.cooling value 'FDHS_1.0'"},
+        {R"("sweep": {"t_inlet": [46, 46.0]})", {},
+         "scenario 'pin': duplicate sweep.t_inlet value '46'"},
+        {R"("sweep": {"copies_per_app": [3, 3]})", {},
+         "scenario 'pin': duplicate sweep.copies_per_app value '3'"},
+        {R"("sweep": {"sensor_noise_sigma": [0.5, 0.5]})", {},
+         "scenario 'pin': duplicate sweep.sensor_noise_sigma value "
+         "'0.5'"},
+        {R"("sweep": {"dtm_interval": [0.1, 0.1]})", {},
+         "scenario 'pin': duplicate sweep.dtm_interval value '0.1'"},
+        {R"("sweep": {"emergency_levels": ["ch4", "ch4"]})", {},
+         "scenario 'pin': duplicate sweep.emergency_levels value 'ch4'"},
+        {R"("sweep": {"dvfs": ["xeon5160", "xeon5160"]})", {},
+         "scenario 'pin': duplicate sweep.dvfs value 'xeon5160'"},
+        {R"("sweep": {"memory_org": ["2x4", "2x4"]})", {},
+         "scenario 'pin': duplicate sweep.memory_org organization '2x4'"},
+        {R"("sweep": {"traffic_shape": ["uniform", "uniform"]})", {},
+         "scenario 'pin': duplicate sweep.traffic_shape shape 'uniform'"},
+        {R"("sweep": {"refresh": ["aldram", "aldram"]})", {},
+         "scenario 'pin': duplicate sweep.refresh model 'aldram'"},
+        {R"("sweep": {"thermal_model": ["lumped", "lumped"]})", {},
+         "scenario 'pin': duplicate sweep.thermal_model model 'lumped'"},
+        // --- duplicates, by resolved value
+        {R"("sweep": {"memory_org": ["ch4_4x4",
+            {"channels": 4, "dimms": 4}]})",
+         {},
+         "scenario 'pin': duplicate sweep.memory_org organization '4x4' "
+         "(same organization as 'ch4_4x4')"},
+        {R"("config": {"memory_org": {"channels": 2, "dimms": 2}},
+            "sweep": {"traffic_shape": ["front_heavy", "linear_taper"]})",
+         {},
+         "scenario 'pin': duplicate sweep.traffic_shape shape "
+         "'linear_taper' (same shares as 'front_heavy' under "
+         "config.memory_org organization '2x2')"},
+        {"",
+         [](ScenarioSpec &s) {
+             s.sweepRefresh = {{"ddr2_2x", {}},
+                               {"", refreshModelByName("ddr2_2x").bands}};
+         },
+         "(same model as 'ddr2_2x')"},
+        {R"("sweep": {"thermal_model": ["bank_grid",
+            {"grid_x": 4, "grid_z": 2}]})",
+         {},
+         "scenario 'pin': duplicate sweep.thermal_model model '4x2' (same "
+         "thermal model as 'bank_grid')"},
+        // --- inline values
+        {R"("config": {"memory_org": {"channels": 0, "dimms": 4}})", {},
+         "scenario: memory organization 0x4 must have >= 1 channel and "
+         ">= 1 DIMM per channel"},
+        {R"("config": {"refresh": [{"min_temp": 0, "bw_fraction": 1,
+            "dram_power_w": 0}]})",
+         {}, "scenario: refresh model 0:1:0 bw_fraction must be in [0, 1)"},
+        {R"("config": {"refresh": [{"min_temp": 0, "bw_fraction": 0,
+            "dram_power_w": -1}]})",
+         {}, "scenario: refresh model 0:0:-1 dram_power_w must be >= 0"},
+        {R"("config": {"refresh": [{"min_temp": 0, "bw_fraction": 0,
+            "dram_power_w": 0, "latency_mult": 0}]})",
+         {}, "scenario: refresh model 0:0:0:0 latency_mult must be > 0"},
+        {R"("config": {"refresh": [{"min_temp": 5, "bw_fraction": 0,
+            "dram_power_w": 0}, {"min_temp": 5, "bw_fraction": 0,
+            "dram_power_w": 0}]})",
+         {},
+         "scenario: refresh model 5:0:0|5:0:0 bands must have strictly "
+         "increasing min_temp"},
+        {R"("config": {"traffic_shape": [1.5, -0.5, 0, 0]})", {},
+         "scenario: traffic shape 1.5|-0.5|0|0 shares must not be "
+         "negative"},
+        {R"("config": {"traffic_shape": [0.5, 0.25, 0.125, 0]})", {},
+         "scenario: traffic shape 0.5|0.25|0.125|0 shares must sum to 1 "
+         "(got 0.875)"},
+        {R"("config": {"traffic_shape": [0.5, 0.5]})", {},
+         "scenario 'pin': config.traffic_shape '0.5|0.5' has 2 share(s) "
+         "but the base organization (4x4) has 4 DIMM(s) per channel"},
+        {R"("config": {"traffic_shape": [0.5, 0.5]},
+            "sweep": {"memory_org": ["2x2", "2x4"]})",
+         {},
+         "scenario 'pin': config.traffic_shape '0.5|0.5' has 2 share(s) "
+         "but sweep.memory_org organization '2x4' has 4 DIMM(s) per "
+         "channel"},
+        {R"("config": {"memory_org": "2x4"},
+            "sweep": {"traffic_shape": [[0.5, 0.5]]})",
+         {},
+         "scenario 'pin': sweep.traffic_shape entry '0.5|0.5' has 2 "
+         "share(s) but config.memory_org organization '2x4' has 4 "
+         "DIMM(s) per channel"},
+        {R"("config": {"thermal_model": {"grid_x": 0, "grid_z": 2}})", {},
+         "scenario: thermal model 0x2 grid dimensions must be >= 1"},
+        {R"("config": {"thermal_model": {"grid_x": 64, "grid_z": 32}})",
+         {},
+         "scenario: thermal model 64x32 has 2048 cells per DIMM; the "
+         "limit is 1024"},
+        {R"("config": {"thermal_model": {"grid_x": 2, "grid_z": 1,
+            "bank_weights": [1]}})",
+         {},
+         "scenario: thermal model 2x1:1 has 1 bank weight(s) but the grid "
+         "has 2 cell(s)"},
+        {R"("config": {"thermal_model": {"grid_x": 2, "grid_z": 1,
+            "bank_weights": [1.5, -0.5]}})",
+         {},
+         "scenario: thermal model 2x1:1.5|-0.5 bank weights must not be "
+         "negative"},
+        {R"("config": {"thermal_model": {"grid_x": 2, "grid_z": 1,
+            "bank_weights": [0.5, 0.25]}})",
+         {},
+         "scenario: thermal model 2x1:0.5|0.25 bank weights must sum to 1 "
+         "(got 0.75)"},
+        // --- trace conflicts
+        {R"("config": {"trace": "t.trace", "traffic_shape": "uniform"})",
+         {},
+         "scenario 'pin': 'trace' supplies the per-DIMM traffic "
+         "distribution; remove the traffic_shape member and sweep"},
+        {R"("config": {"trace": "t.trace"},
+            "sweep": {"thermal_model": [{"grid_x": 2, "grid_z": 1,
+            "bank_weights": [0.5, 0.5]}]})",
+         {},
+         "scenario 'pin': 'trace' supplies the per-bank activity weights; "
+         "remove the thermal model's bank_weights"},
+    };
+    for (const Case &c : cases) {
+        SCOPED_TRACE(c.expect);
+        std::string doc =
+            R"({"name": "pin", "workloads": ["W1"], "policies": ["No-limit"])";
+        doc = std::string(c.members).empty()
+                  ? doc + "}"
+                  : doc + ", " + c.members + "}";
+        try {
+            // Later duplicate members override the base lineup.
+            ScenarioSpec s = ScenarioSpec::fromJson(Json::parse(doc));
+            if (c.edit)
+                c.edit(s);
+            s.lower();
+            ADD_FAILURE() << "accepted: " << doc;
+        } catch (const FatalError &e) {
+            EXPECT_NE(std::string(e.what()).find(c.expect),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+
+    // Every shipped example: its `--resume` spec hash and its grid's
+    // point labels, in order.
+    struct Example
+    {
+        const char *file;
+        const char *hash;
+        std::vector<std::string> labels;
+    };
+    const std::vector<Example> examples = {
+        {"bank_hotspot.json",
+         "8587a55f4b924fad",
+         {"thermal=lumped", "thermal=bank_grid",
+          "thermal=4x2:0.65|0.05|0.05|0.05|0.05|0.05|0.05|0.05"}},
+        {"ch4_baseline.json",
+         "ae4c680cd6d94ed4",
+         {"base"}},
+        {"datacenter_ambient.json",
+         "3d939ab2f22b3c61",
+         {"inlet=46", "inlet=48", "inlet=50", "inlet=52"}},
+        {"dtm_sensitivity.json",
+         "8f14c0c2d9d2dd43",
+         {"dtm=0.01,levels=ch4,dvfs=simulated_cmp",
+          "dtm=0.01,levels=ch4,dvfs=xeon5160",
+          "dtm=0.01,levels=sr1500al,dvfs=simulated_cmp",
+          "dtm=0.01,levels=sr1500al,dvfs=xeon5160",
+          "dtm=0.1,levels=ch4,dvfs=simulated_cmp",
+          "dtm=0.1,levels=ch4,dvfs=xeon5160",
+          "dtm=0.1,levels=sr1500al,dvfs=simulated_cmp",
+          "dtm=0.1,levels=sr1500al,dvfs=xeon5160"}},
+        {"fan_failure.json",
+         "a04ef5793d6f324e",
+         {"cooling=FDHS_1.5", "cooling=FDHS_1.0"}},
+        {"hot_dimm.json",
+         "457e9af3f1738248",
+         {"shape=uniform", "shape=hot_dimm0", "shape=linear_taper",
+          "shape=back_heavy", "shape=0.1|0.2|0.3|0.4"}},
+        {"hot_dimm_remap.json",
+         "750efe068da68e12",
+         {"base"}},
+        {"memory_org.json",
+         "d84475e4c3ffd1b1",
+         {"org=1x4", "org=2x2", "org=2x4", "org=ch4_4x4", "org=4x8"}},
+        {"policy_sweep.json",
+         "f290bb1f43de27f4",
+         {"base"}},
+        {"refresh_runaway.json",
+         "860796118a73613f",
+         {"refresh=none", "refresh=ddr2_2x"}},
+        {"sensor_noise.json",
+         "0513a2947b5904c3",
+         {"noise=0", "noise=0.5", "noise=1"}},
+    };
+    for (const Example &ex : examples) {
+        SCOPED_TRACE(ex.file);
+        const ScenarioSpec spec = ScenarioSpec::load(scenarioPath(ex.file));
+        EXPECT_EQ(scenarioSpecHash(spec), ex.hash);
+        std::vector<std::string> labels;
+        for (const auto &pt : spec.lower().points)
+            labels.push_back(pt.label);
+        EXPECT_EQ(labels, ex.labels);
+    }
+
+    // One spec that sets every config knob and sweeps every axis pins
+    // the member order of toJson() (through the hash) and the label
+    // grammar across all eleven axes (first axis slowest).
+    const ScenarioSpec all = ScenarioSpec::fromJson(Json::parse(R"({
+        "name": "all_axes", "description": "every knob and axis",
+        "config": {"cooling": "FDHS_1.0", "ambient": "integrated",
+          "emergency_levels": "ch4", "dvfs": "simulated_cmp",
+          "memory_org": "2x4", "traffic_shape": "uniform",
+          "refresh": "none", "thermal_model": "lumped", "t_inlet": 45,
+          "copies_per_app": 3, "instr_scale": 0.5, "max_sim_time": 100,
+          "dtm_interval": 0.02, "remap_interval": 0.04,
+          "remap_hysteresis": 1.5, "sensor_noise_sigma": 0.1,
+          "sensor_quant": 0.25, "sensor_seed": 7},
+        "workloads": ["W1"], "policies": ["No-limit"],
+        "sweep": {"thermal_model": [{"grid_x": 2, "grid_z": 1,
+            "bank_weights": [0.75, 0.25]}],
+          "refresh": ["ddr2_2x", [{"min_temp": 0, "bw_fraction": 0.01,
+            "dram_power_w": 0.1, "latency_mult": 1.5}]],
+          "dvfs": ["xeon5160"], "emergency_levels": ["ch4"],
+          "dtm_interval": [0.02, 0.04], "sensor_noise_sigma": [0],
+          "copies_per_app": [2], "t_inlet": [40], "cooling": ["FDHS_1.0"],
+          "traffic_shape": ["uniform", [0.75, 0.25]],
+          "memory_org": ["2x2", {"channels": 1, "dimms": 2}]}})"));
+    EXPECT_EQ(scenarioSpecHash(all), "eb181e3efc896a5a");
+    const LoweredScenario low = all.lower();
+    ASSERT_EQ(low.points.size(), 16u);
+    EXPECT_EQ(low.points.front().label,
+              "org=2x2,shape=uniform,cooling=FDHS_1.0,inlet=40,copies=2,"
+              "noise=0,dtm=0.02,levels=ch4,dvfs=xeon5160,refresh=ddr2_2x,"
+              "thermal=2x1:0.75|0.25");
+    EXPECT_EQ(low.points[1].label,
+              "org=2x2,shape=uniform,cooling=FDHS_1.0,inlet=40,copies=2,"
+              "noise=0,dtm=0.02,levels=ch4,dvfs=xeon5160,"
+              "refresh=0:0.01:0.1:1.5,thermal=2x1:0.75|0.25");
+    EXPECT_EQ(low.points.back().label,
+              "org=1x2,shape=0.75|0.25,cooling=FDHS_1.0,inlet=40,copies=2,"
+              "noise=0,dtm=0.04,levels=ch4,dvfs=xeon5160,"
+              "refresh=0:0.01:0.1:1.5,thermal=2x1:0.75|0.25");
 }
 
 } // namespace

@@ -63,9 +63,9 @@ TEST(Platform, PolicyFactory)
 TEST(Platform, PolicyActionsFollowTable51)
 {
     Platform p = sr1500al();
-    ThermalReading cold{70.0, 50.0, 40.0};
-    ThermalReading l2{87.0, 50.0, 45.0};
-    ThermalReading l4{95.0, 50.0, 46.0};
+    ThermalReading cold{.amb = 70.0, .dram = 50.0, .inlet = 40.0};
+    ThermalReading l2{.amb = 87.0, .dram = 50.0, .inlet = 45.0};
+    ThermalReading l4{.amb = 95.0, .dram = 50.0, .inlet = 46.0};
 
     auto bw = makeCh5Policy(p, "DTM-BW");
     EXPECT_TRUE(std::isinf(bw->decide(cold, 0.0).bandwidthCap));
@@ -90,7 +90,7 @@ TEST(Platform, DvfsFloorPinsFrequency)
 {
     Platform p = sr1500al();
     auto bw = makeCh5Policy(p, "DTM-BW", 3);
-    ThermalReading cold{70.0, 50.0, 40.0};
+    ThermalReading cold{.amb = 70.0, .dram = 50.0, .inlet = 40.0};
     EXPECT_EQ(bw->decide(cold, 0.0).dvfsLevel, 3u);
 }
 
@@ -100,7 +100,7 @@ TEST(Platform, MemoryNeverShutsDownOnTestbeds)
     Platform p = pe1950();
     for (const std::string &name : ch5PolicyNames()) {
         auto policy = makeCh5Policy(p, name);
-        ThermalReading scorching{99.0, 60.0, 40.0};
+        ThermalReading scorching{.amb = 99.0, .dram = 60.0, .inlet = 40.0};
         EXPECT_TRUE(policy->decide(scorching, 0.0).memoryOn) << name;
     }
 }

@@ -1,85 +1,106 @@
 /**
  * @file
- * Unit tests for the per-DIMM thermal model (Eqs. 3.3-3.5).
+ * Unit tests for the per-DIMM thermal equations (Eqs. 3.3-3.5), checked
+ * through a one-DIMM MemoryThermalModel, whose hottest DIMM is that DIMM.
  */
 
 #include <gtest/gtest.h>
 
-#include "core/thermal/dimm_thermal.hh"
+#include "core/power/dimm_traffic.hh"
+#include "core/thermal/memory_thermal.hh"
 
 namespace memtherm
 {
 namespace
 {
 
-TEST(DimmThermal, StableTemperatureEquations)
+/** One DIMM on one channel: the hottest DIMM is that DIMM. */
+MemoryThermalModel
+oneDimm(const CoolingConfig &cooling, Celsius t0)
 {
-    DimmThermalModel m(coolingAohs15(), 50.0);
-    DimmPower p{6.0, 2.0};
-    // Eq. 3.3: TA + P_AMB * PsiAMB + P_DRAM * PsiDRAM_AMB.
-    EXPECT_NEAR(m.stableAmb(50.0, p), 50.0 + 6.0 * 9.3 + 2.0 * 3.4, 1e-12);
-    // Eq. 3.4: TA + P_AMB * PsiAMB_DRAM + P_DRAM * PsiDRAM.
-    EXPECT_NEAR(m.stableDram(50.0, p), 50.0 + 6.0 * 4.1 + 2.0 * 4.0, 1e-12);
+    return MemoryThermalModel(MemoryOrgConfig{1, 1}, cooling,
+                              DimmPowerModel{}, t0);
 }
 
-TEST(DimmThermal, IdleStableNearAmbientPlusIdlePower)
+TEST(DimmThermal, StableTemperatureEquations)
+{
+    auto m = oneDimm(coolingAohs15(), 50.0);
+    DimmTraffic t;
+    t.localRead = 3.0;
+    t.localWrite = 1.0;
+    const DimmPower p = m.powerModel().power(t, true);
+    // Eq. 3.3: TA + P_AMB * PsiAMB + P_DRAM * PsiDRAM_AMB.
+    EXPECT_NEAR(m.stableHottestAmb(3.0, 1.0, 50.0),
+                50.0 + p.amb * 9.3 + p.dram * 3.4, 1e-12);
+    // Eq. 3.4: TA + P_AMB * PsiAMB_DRAM + P_DRAM * PsiDRAM.
+    EXPECT_NEAR(m.stableHottestDram(3.0, 1.0, 50.0),
+                50.0 + p.amb * 4.1 + p.dram * 4.0, 1e-12);
+}
+
+TEST(DimmThermal, IdleStableWellAboveAmbient)
 {
     // With idle power only, the AMB still sits tens of degrees above
-    // ambient (idle AMB power is substantial: 4-5 W).
-    DimmThermalModel m(coolingAohs15(), 50.0);
-    DimmPower idle{5.1, 0.98};
-    EXPECT_NEAR(m.stableAmb(50.0, idle), 50.0 + 47.43 + 3.332, 1e-10);
+    // its inlet (idle AMB power is substantial: 4-5 W).
+    auto m = oneDimm(coolingAohs15(), 50.0);
+    EXPECT_GT(m.stableHottestAmb(0.0, 0.0, 50.0), 50.0 + 30.0);
 }
 
 TEST(DimmThermal, AdvanceMovesTowardStable)
 {
-    DimmThermalModel m(coolingAohs15(), 50.0);
-    DimmPower p{6.0, 2.0};
-    DimmTemps t1 = m.advance(50.0, p, 10.0);
-    EXPECT_GT(t1.amb, 50.0);
-    EXPECT_LT(t1.amb, m.stableAmb(50.0, p));
-    DimmTemps t2 = m.advance(50.0, p, 10.0);
-    EXPECT_GT(t2.amb, t1.amb);
-    EXPECT_GT(t2.dram, t1.dram);
+    auto m = oneDimm(coolingAohs15(), 50.0);
+    const MemoryThermalSample s1 = m.advance(3.0, 1.0, 50.0, 10.0);
+    EXPECT_GT(s1.hottestAmb, 50.0);
+    EXPECT_LT(s1.hottestAmb, m.stableHottestAmb(3.0, 1.0, 50.0));
+    const MemoryThermalSample s2 = m.advance(3.0, 1.0, 50.0, 10.0);
+    EXPECT_GT(s2.hottestAmb, s1.hottestAmb);
+    EXPECT_GT(s2.hottestDram, s1.hottestDram);
 }
 
 TEST(DimmThermal, AmbHeatsFasterThanDram)
 {
     // tau_AMB = 50 s vs tau_DRAM = 100 s: after the same step the AMB has
     // covered a larger fraction of its gap.
-    DimmThermalModel m(coolingAohs15(), 50.0);
-    DimmPower p{6.0, 2.0};
-    DimmTemps t = m.advance(50.0, p, 25.0);
-    double amb_frac = (t.amb - 50.0) / (m.stableAmb(50.0, p) - 50.0);
-    double dram_frac = (t.dram - 50.0) / (m.stableDram(50.0, p) - 50.0);
+    auto m = oneDimm(coolingAohs15(), 50.0);
+    const MemoryThermalSample s = m.advance(3.0, 1.0, 50.0, 25.0);
+    const double amb_frac =
+        (s.hottestAmb - 50.0) / (m.stableHottestAmb(3.0, 1.0, 50.0) - 50.0);
+    const double dram_frac = (s.hottestDram - 50.0) /
+                             (m.stableHottestDram(3.0, 1.0, 50.0) - 50.0);
+    EXPECT_GT(amb_frac, 0.0);
+    EXPECT_LT(amb_frac, 1.0);
     EXPECT_GT(amb_frac, dram_frac);
 }
 
 TEST(DimmThermal, ConvergenceToStable)
 {
-    DimmThermalModel m(coolingFdhs10(), 45.0);
-    DimmPower p{5.0, 1.5};
+    auto m = oneDimm(coolingFdhs10(), 45.0);
     for (int i = 0; i < 200; ++i)
-        m.advance(45.0, p, 10.0);
-    EXPECT_NEAR(m.temps().amb, m.stableAmb(45.0, p), 1e-6);
-    EXPECT_NEAR(m.temps().dram, m.stableDram(45.0, p), 1e-6);
+        m.advance(2.5, 0.8, 45.0, 10.0);
+    EXPECT_NEAR(m.current().hottestAmb, m.stableHottestAmb(2.5, 0.8, 45.0),
+                1e-6);
+    EXPECT_NEAR(m.current().hottestDram,
+                m.stableHottestDram(2.5, 0.8, 45.0), 1e-6);
 }
 
 TEST(DimmThermal, HigherAmbientRaisesStable)
 {
-    DimmThermalModel m(coolingAohs15(), 50.0);
-    DimmPower p{6.0, 2.0};
-    EXPECT_NEAR(m.stableAmb(55.0, p) - m.stableAmb(50.0, p), 5.0, 1e-12);
-    EXPECT_NEAR(m.stableDram(55.0, p) - m.stableDram(50.0, p), 5.0, 1e-12);
+    // A hotter inlet raises both stable points by exactly as much.
+    auto m = oneDimm(coolingAohs15(), 50.0);
+    EXPECT_NEAR(m.stableHottestAmb(3.0, 1.0, 55.0) -
+                    m.stableHottestAmb(3.0, 1.0, 50.0),
+                5.0, 1e-12);
+    EXPECT_NEAR(m.stableHottestDram(3.0, 1.0, 55.0) -
+                    m.stableHottestDram(3.0, 1.0, 50.0),
+                5.0, 1e-12);
 }
 
 TEST(DimmThermal, ResetRestoresTemperature)
 {
-    DimmThermalModel m(coolingAohs15(), 50.0);
-    m.advance(50.0, {6.0, 2.0}, 100.0);
+    auto m = oneDimm(coolingAohs15(), 50.0);
+    m.advance(3.0, 1.0, 50.0, 100.0);
     m.reset(50.0);
-    EXPECT_DOUBLE_EQ(m.temps().amb, 50.0);
-    EXPECT_DOUBLE_EQ(m.temps().dram, 50.0);
+    EXPECT_DOUBLE_EQ(m.current().hottestAmb, 50.0);
+    EXPECT_DOUBLE_EQ(m.current().hottestDram, 50.0);
 }
 
 } // namespace
