@@ -19,10 +19,18 @@ namespace memtherm
 namespace
 {
 
-/** Shortest exact decimal form, for sweep-point labels. */
+/**
+ * Shortest exact decimal form, for sweep-point labels and messages.
+ * Non-finite values, which JSON cannot spell, render as nan / inf /
+ * -inf, so the validation that rejects them can still name them.
+ */
 std::string
 numStr(double v)
 {
+    if (std::isnan(v))
+        return "nan";
+    if (std::isinf(v))
+        return v > 0.0 ? "inf" : "-inf";
     return Json::numberToString(v);
 }
 

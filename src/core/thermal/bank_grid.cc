@@ -1,5 +1,6 @@
 #include "core/thermal/bank_grid.hh"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/logging.hh"
@@ -68,6 +69,75 @@ resolveBankCellWeights(const BankGridConfig &grid, int n_dimms)
         smoothBankCells(grid, scaled.data(), out.data() + d * per_dimm);
     }
     return out;
+}
+
+BankSlopes
+resolveBankSlopes(const std::vector<double> &cell_w, int n_dimms, int cells)
+{
+    panicIfNot(n_dimms >= 1 && cells >= 1 &&
+                   cell_w.size() == static_cast<std::size_t>(n_dimms) *
+                                        static_cast<std::size_t>(cells),
+               "bank slopes need nDimms*cells weights");
+    BankSlopes s;
+    s.cells = cells;
+    s.x.resize(cell_w.size());
+    s.count.resize(static_cast<std::size_t>(n_dimms));
+    s.slot.resize(cell_w.size());
+    for (int d = 0; d < n_dimms; ++d) {
+        const std::size_t base = static_cast<std::size_t>(d) * cells;
+        double *x = s.x.data() + base;
+        for (int c = 0; c < cells; ++c)
+            x[c] = cell_w[base + c] - 1.0;
+        std::sort(x, x + cells);
+        const int n = static_cast<int>(std::unique(x, x + cells) - x);
+        s.count[d] = n;
+        for (int c = 0; c < cells; ++c)
+            s.slot[base + c] = static_cast<int>(
+                std::lower_bound(x, x + n, cell_w[base + c] - 1.0) - x);
+    }
+    return s;
+}
+
+void
+bankEnvelopeInsert(const double *x, int n, BankLine *nodes, BankLine line)
+{
+    int l = 0;
+    int r = n - 1;
+    while (l <= r) {
+        const int m = (l + r) / 2;
+        BankLine &node = nodes[m];
+        if (line.at(x[m]) > node.at(x[m]))
+            std::swap(line, node);
+        // `line` now loses at the midpoint. Two lines cross at most
+        // once, so it can still win on one side only; route it there,
+        // or drop it when the node dominates the whole range.
+        if (l < m && line.at(x[l]) > node.at(x[l]))
+            r = m - 1;
+        else if (m < r && line.at(x[r]) > node.at(x[r]))
+            l = m + 1;
+        else
+            return;
+    }
+}
+
+double
+bankEnvelopeQuery(const double *x, int n, const BankLine *nodes, int i)
+{
+    panicIfNot(i >= 0 && i < n, "bank envelope query out of range");
+    const double s = x[i];
+    int l = 0;
+    int r = n - 1;
+    int m = (l + r) / 2;
+    double best = nodes[m].at(s);
+    while (m != i) {
+        if (i < m)
+            r = m - 1;
+        else
+            l = m + 1;
+        m = (l + r) / 2;
+        best = std::max(best, nodes[m].at(s));
+    }
+    return best;
 }
 
 } // namespace memtherm

@@ -7,20 +7,36 @@
  * blind to intra-DIMM hotspots: row-buffer-heavy workloads concentrate
  * their accesses — and their dynamic power — in a few banks. The bank
  * grid resolves that by splitting each DIMM's DRAM power over an X x Z
- * cell grid by per-cell heat-share weights and advancing one extra RC
- * node per cell (same tauDram, same Eq. 3.5 step as the lumped DRAM
- * node), with a single lateral-coupling smoothing pass standing in for
- * in-package heat spreading between neighboring banks.
+ * cell grid by per-cell heat-share weights w_c (cells-scaled, so they
+ * average 1), with a single lateral-coupling smoothing pass standing in
+ * for in-package heat spreading between neighboring banks.
+ *
+ * Each cell is an RC node with the DRAM node's time constant whose
+ * Eq. 3.4 target scales the DIMM's DRAM power P by w_c. That network is
+ * linear with one shared decay, so it is carried as an *affine overlay*
+ * rather than one node per cell: one RC scalar V per DIMM steps with
+ * the DRAM decay toward P * psiDram, and exactly
+ *
+ *     T_c(t) = T_dram(t) + (w_c - 1) * V(t).
+ *
+ * A cell's peak is therefore max_t of that line at s_c = w_c - 1, i.e.
+ * the upper envelope of the lines s -> T_dram(t) + s * V(t) queried at
+ * s_c. The envelope is a Li Chao tree over each DIMM's sorted distinct
+ * slopes (bankEnvelopeInsert / bankEnvelopeQuery): O(DIMMs * log cells)
+ * per window instead of one RC step and one max per cell, plus one
+ * query per cell per run. The peaks agree with the per-cell iteration
+ * up to rounding (<= 1e-9 relative, pinned against that iteration as a
+ * test oracle; ~1e-14 observed).
  *
  * The grid is a *diagnostic overlay*: the lumped nodes keep driving the
  * DTM sensors, the refresh feedback and every pre-existing result field
  * unchanged, and the grid only adds per-bank peak temperatures. Its
  * correctness contract, pinned by tests/thermal/test_bank_grid.cc:
  *
- *  - under uniform per-bank weights every cell's stable target equals
- *    the lumped DRAM target exactly (the scaled weights are exactly 1
- *    and smoothing is the identity on constant fields), so the grid
- *    mean reproduces the lumped model;
+ *  - under uniform per-bank weights every cell's slope is exactly 0, so
+ *    every cell's peak is bit-identical to the lumped DRAM peak (the
+ *    scaled weights are exactly 1 and smoothing is the identity on
+ *    constant fields);
  *  - the smoothing operator is symmetric and row-stochastic, so it
  *    conserves the weight sum — the grid's mean target tracks the
  *    lumped target for *any* weight vector;
@@ -110,6 +126,56 @@ std::vector<double> resolveBankCellWeights(const BankGridConfig &grid,
  */
 void smoothBankCells(const BankGridConfig &grid, const double *w,
                      double *out);
+
+/**
+ * One window's overlay line s -> t + s * v for one DIMM: the lumped
+ * DRAM temperature t and the overlay scalar v. A cell at slope s sits
+ * at at(s) during that window.
+ */
+struct BankLine
+{
+    double t = 0.0; ///< lumped DRAM temperature T_dram
+    double v = 0.0; ///< overlay RC scalar V
+
+    double at(double s) const { return t + s * v; }
+};
+
+/**
+ * Query points of the overlay envelope, derived once per run from the
+ * resolved cell weights: each DIMM's sorted distinct slopes w_c - 1 and
+ * each cell's index into its DIMM's list.
+ */
+struct BankSlopes
+{
+    int cells = 0;          ///< cells per DIMM (block stride of x, slot)
+    std::vector<double> x;  ///< DIMM d's sorted distinct slopes at d*cells
+    std::vector<int> count; ///< distinct slopes per DIMM
+    std::vector<int> slot;  ///< per cell, row-major by DIMM: index in x
+};
+
+/**
+ * Slopes of @p cell_w (resolveBankCellWeights() output, n_dimms blocks
+ * of @p cells). Uniform weights give the single slope 0.0 per DIMM.
+ */
+BankSlopes resolveBankSlopes(const std::vector<double> &cell_w, int n_dimms,
+                             int cells);
+
+/**
+ * Insert @p line into a Li Chao tree over the @p n sorted points @p x:
+ * the node for index range [l, r] lives at nodes[(l + r) / 2] and holds
+ * the line that is highest at that midpoint among those routed to it.
+ * O(log n), allocation-free. Every node must hold some earlier line
+ * (seed all n with the run's starting line).
+ */
+void bankEnvelopeInsert(const double *x, int n, BankLine *nodes,
+                        BankLine line);
+
+/**
+ * Highest value at x[i] over every line inserted (and the seed): the
+ * maximum over the nodes on the path from the root to index @p i.
+ */
+double bankEnvelopeQuery(const double *x, int n, const BankLine *nodes,
+                         int i);
 
 } // namespace memtherm
 

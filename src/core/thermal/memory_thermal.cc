@@ -11,6 +11,13 @@ namespace memtherm
 namespace
 {
 
+BankSlopes
+bankSlopesOf(const BankGridConfig &grid, int n_dimms)
+{
+    return resolveBankSlopes(resolveBankCellWeights(grid, n_dimms), n_dimms,
+                             grid.cells());
+}
+
 void
 checkOrgAndShares(const MemoryOrgConfig &org,
                   const std::vector<double> &shares)
@@ -37,7 +44,7 @@ MemoryThermalModel::MemoryThermalModel(const MemoryOrgConfig &org,
 {
     checkOrgAndShares(orgCfg, shares);
     if (grid)
-        cellW = resolveBankCellWeights(*grid, orgCfg.nDimmsPerChannel);
+        slopes = bankSlopesOf(*grid, orgCfg.nDimmsPerChannel);
     ownedState = std::make_unique<ThermalBatchState>(
         1, orgCfg.nDimmsPerChannel, grid ? grid->cells() : 0);
     st = ownedState.get();
@@ -58,7 +65,7 @@ MemoryThermalModel::MemoryThermalModel(const MemoryOrgConfig &org,
 {
     checkOrgAndShares(orgCfg, shares);
     if (grid)
-        cellW = resolveBankCellWeights(*grid, orgCfg.nDimmsPerChannel);
+        slopes = bankSlopesOf(*grid, orgCfg.nDimmsPerChannel);
     panicIfNot(state.dimms() == orgCfg.nDimmsPerChannel,
                "MemoryThermalModel: batch state chain length mismatch");
     panicIfNot(state.bankCells() == (grid ? grid->cells() : 0),
@@ -69,7 +76,7 @@ MemoryThermalModel::MemoryThermalModel(const MemoryOrgConfig &org,
 MemoryThermalModel::MemoryThermalModel(const MemoryThermalModel &src,
                                        ThermalBatchState &state, int lane)
     : orgCfg(src.orgCfg), pwr(src.pwr), cool(src.cool), shares(src.shares),
-      refreshDram(src.refreshDram), grid(src.grid), cellW(src.cellW),
+      refreshDram(src.refreshDram), grid(src.grid), slopes(src.slopes),
       ownedState(nullptr), st(&state), laneIdx(lane)
 {
     panicIfNot(state.dimms() == orgCfg.nDimmsPerChannel,
@@ -83,7 +90,7 @@ MemoryThermalModel::MemoryThermalModel(const MemoryThermalModel &src,
 MemoryThermalModel::MemoryThermalModel(const MemoryThermalModel &other)
     : orgCfg(other.orgCfg), pwr(other.pwr), cool(other.cool),
       shares(other.shares), refreshDram(other.refreshDram),
-      grid(other.grid), cellW(other.cellW),
+      grid(other.grid), slopes(other.slopes),
       ownedState(nullptr), st(nullptr), laneIdx(0)
 {
     ownedState = std::make_unique<ThermalBatchState>(
@@ -115,9 +122,11 @@ MemoryThermalModel::copyLaneFrom(const MemoryThermalModel &src)
         st->peakDram(laneIdx)[i] = from.peakDram(src.laneIdx)[i];
         st->energy(laneIdx)[i] = from.energy(src.laneIdx)[i];
     }
-    for (int i = 0; i < n * st->bankCells(); ++i) {
-        st->bankTemp(laneIdx)[i] = from.bankTemp(src.laneIdx)[i];
-        st->peakBank(laneIdx)[i] = from.peakBank(src.laneIdx)[i];
+    if (grid) {
+        for (int i = 0; i < n; ++i)
+            st->bankRc(laneIdx)[i] = from.bankRc(src.laneIdx)[i];
+        const BankLine *env = from.bankEnvelope(src.laneIdx);
+        std::copy(env, env + n * st->bankCells(), st->bankEnvelope(laneIdx));
     }
     st->energyTime(laneIdx) = from.energyTime(src.laneIdx);
     // The staging arrays and decay memo are per-step scratch: initLane
@@ -173,12 +182,9 @@ MemoryThermalModel::stageAdvance(GBps total_read, GBps total_write,
         sd[i] = stableDramAt(ambient, powers[i]);
     }
     if (grid) {
-        const int cells = grid->cells();
-        double *sb = st->stableBank(laneIdx);
+        double *sv = st->stableBankRc(laneIdx);
         for (std::size_t i = 0; i < powers.size(); ++i)
-            for (int c = 0; c < cells; ++c)
-                sb[i * cells + c] =
-                    stableBankAt(ambient, powers[i], cellW[i * cells + c]);
+            sv[i] = stableBankRcAt(powers[i]);
     }
 }
 
@@ -201,11 +207,12 @@ MemoryThermalModel::finishAdvance(Seconds dt)
         channel_power += powerScratch[i].total();
     }
     if (grid) {
-        const int n = orgCfg.nDimmsPerChannel * grid->cells();
-        const double *bank = st->bankTemp(laneIdx);
-        double *pb = st->peakBank(laneIdx);
-        for (int i = 0; i < n; ++i)
-            pb[i] = std::max(pb[i], bank[i]);
+        const int cells = slopes.cells;
+        const double *v = st->bankRc(laneIdx);
+        BankLine *env = st->bankEnvelope(laneIdx);
+        for (std::size_t i = 0; i < powerScratch.size(); ++i)
+            bankEnvelopeInsert(slopes.x.data() + i * cells, slopes.count[i],
+                               env + i * cells, BankLine{dram[i], v[i]});
     }
     st->energyTime(laneIdx) += dt;
     s.subsystemPower = channel_power * orgCfg.nChannels;
@@ -340,9 +347,16 @@ MemoryThermalModel::bankPeaks() const
 {
     if (!grid)
         return {};
-    const int n = orgCfg.nDimmsPerChannel * grid->cells();
-    const double *pb = st->peakBank(laneIdx);
-    return std::vector<Celsius>(pb, pb + n);
+    const int cells = slopes.cells;
+    const BankLine *env = st->bankEnvelope(laneIdx);
+    std::vector<Celsius> out(slopes.slot.size());
+    for (std::size_t i = 0; i < out.size(); ++i) {
+        const std::size_t base = i / cells * cells;
+        out[i] = bankEnvelopeQuery(slopes.x.data() + base,
+                                   slopes.count[i / cells], env + base,
+                                   slopes.slot[i]);
+    }
+    return out;
 }
 
 std::vector<Watts>
@@ -377,12 +391,9 @@ MemoryThermalModel::reset(Celsius t)
         e[i] = 0.0;
     }
     if (grid) {
-        double *bank = st->bankTemp(laneIdx);
-        double *pb = st->peakBank(laneIdx);
-        for (int i = 0; i < n * grid->cells(); ++i) {
-            bank[i] = t;
-            pb[i] = t;
-        }
+        for (int i = 0; i < n; ++i)
+            st->bankRc(laneIdx)[i] = 0.0;
+        st->seedBankEnvelope(laneIdx);
     }
     st->energyTime(laneIdx) = 0.0;
 }
@@ -405,15 +416,10 @@ MemoryThermalModel::resetToStable(GBps total_read, GBps total_write,
         e[i] = 0.0;
     }
     if (grid) {
-        const int cells = grid->cells();
-        double *bank = st->bankTemp(laneIdx);
-        double *pb = st->peakBank(laneIdx);
+        double *v = st->bankRc(laneIdx);
         for (std::size_t i = 0; i < powers.size(); ++i)
-            for (int c = 0; c < cells; ++c) {
-                bank[i * cells + c] =
-                    stableBankAt(ambient, powers[i], cellW[i * cells + c]);
-                pb[i * cells + c] = bank[i * cells + c];
-            }
+            v[i] = stableBankRcAt(powers[i]);
+        st->seedBankEnvelope(laneIdx);
     }
     st->energyTime(laneIdx) = 0.0;
 }

@@ -226,9 +226,9 @@ class MemoryThermalModel
     /**
      * Per-bank-cell peak DRAM temperatures since the last reset:
      * nDimmsPerChannel * bankGrid()->cells() entries, row-major by DIMM
-     * (DIMM 0's cells first). Empty when the model is lumped. Like
-     * dimmPeaks(), the fold happens in place every step; only this
-     * accessor materializes a vector.
+     * (DIMM 0's cells first). Empty when the model is lumped. Every
+     * step inserts one line per DIMM into the lane's peak envelope;
+     * this accessor answers one envelope query per cell.
      */
     std::vector<Celsius> bankPeaks() const;
 
@@ -275,18 +275,13 @@ class MemoryThermalModel
         return ambient + p.amb * cool.psiAmbToDram + p.dram * cool.psiDram;
     }
     /**
-     * Stable temperature of one bank cell: Eq. 3.4 with the DIMM's DRAM
-     * power scaled by the cell's smoothed heat weight @p w. The sum
-     * association matches stableDramAt exactly, and uniform weights are
-     * exactly 1.0, so a uniform cell's target — and therefore its whole
-     * trajectory, the time constants being shared — is bit-identical to
-     * the lumped DRAM node's.
+     * Stable target of the bank overlay scalar V: a cell at weight w
+     * settles (w - 1) * P * psiDram above the DRAM node's Eq. 3.4
+     * target, so V's target is the DIMM's DRAM term P * psiDram.
      */
-    Celsius stableBankAt(Celsius ambient, const DimmPower &p,
-                         double w) const
+    double stableBankRcAt(const DimmPower &p) const
     {
-        return ambient + p.amb * cool.psiAmbToDram +
-               (p.dram * w) * cool.psiDram;
+        return p.dram * cool.psiDram;
     }
 
     /**
@@ -317,10 +312,10 @@ class MemoryThermalModel
 
     /// Bank-grid overlay; std::nullopt = lumped model, no bank state.
     std::optional<BankGridConfig> grid;
-    /// Smoothed, cells-scaled per-cell heat weights (row-major by DIMM;
-    /// resolveBankCellWeights), precomputed once — weights are constant
-    /// over a run. Empty when lumped.
-    std::vector<double> cellW;
+    /// Envelope query points: each DIMM's distinct slopes w_c - 1 of
+    /// the smoothed, cells-scaled weights (resolveBankCellWeights),
+    /// derived once — weights are constant over a run. Empty when lumped.
+    BankSlopes slopes;
 
     std::unique_ptr<ThermalBatchState> ownedState; ///< owning mode only
     ThermalBatchState *st; ///< owned or caller-owned batch state

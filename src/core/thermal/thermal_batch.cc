@@ -1,5 +1,6 @@
 #include "core/thermal/thermal_batch.hh"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/logging.hh"
@@ -22,10 +23,12 @@ ThermalBatchState::ThermalBatchState(int lanes, int dimms, int bank_cells)
     peakAmbV.assign(n, 0.0);
     peakDramV.assign(n, 0.0);
     energyV.assign(n, 0.0);
-    const std::size_t nb = n * static_cast<std::size_t>(bank_cells);
-    bankTempV.assign(nb, 0.0);
-    stableBankV.assign(nb, 0.0);
-    peakBankV.assign(nb, 0.0);
+    if (bank_cells > 0) {
+        bankRcV.assign(n, 0.0);
+        stableBankRcV.assign(n, 0.0);
+        bankEnvV.assign(n * static_cast<std::size_t>(bank_cells),
+                        BankLine{});
+    }
     energyTimeV.assign(static_cast<std::size_t>(lanes), 0.0);
     tauAmbV.assign(static_cast<std::size_t>(lanes), 1.0);
     tauDramV.assign(static_cast<std::size_t>(lanes), 1.0);
@@ -63,13 +66,27 @@ ThermalBatchState::initLane(int lane, Seconds tau_amb, Seconds tau_dram,
         pd[i] = t0;
         e[i] = 0.0;
     }
-    double *bt = bankTemp(l);
-    double *pb = peakBank(l);
-    for (int i = 0; i < nDimms * nBankCells; ++i) {
-        bt[i] = t0;
-        pb[i] = t0;
+    if (nBankCells > 0) {
+        for (int i = 0; i < nDimms; ++i) {
+            bankRc(l)[i] = 0.0;
+            stableBankRc(l)[i] = 0.0;
+        }
+        seedBankEnvelope(l);
     }
     energyTimeV[l] = 0.0;
+}
+
+void
+ThermalBatchState::seedBankEnvelope(int lane)
+{
+    if (nBankCells == 0)
+        return;
+    const double *dram = dramTemp(lane);
+    const double *v = bankRc(lane);
+    BankLine *env = bankEnvelope(lane);
+    for (int i = 0; i < nDimms; ++i)
+        std::fill(env + i * nBankCells, env + (i + 1) * nBankCells,
+                  BankLine{dram[i], v[i]});
 }
 
 void
@@ -102,12 +119,14 @@ ThermalBatchState::advanceLane(int lane)
     for (int i = 0; i < nDimms; ++i)
         dram[i] += (sd[i] - dram[i]) * dd;
     // Bank cells share the DRAM node's time constant (same silicon, same
-    // Eq. 3.5 step), so a uniform-weight cell tracks its lumped DRAM
-    // node bit-for-bit.
-    double *bank = bankTemp(l);
-    const double *sb = stableBank(l);
-    for (int i = 0; i < nDimms * nBankCells; ++i)
-        bank[i] += (sb[i] - bank[i]) * dd;
+    // Eq. 3.5 step), so their offsets from the DRAM node all decay with
+    // the one scalar V.
+    if (nBankCells > 0) {
+        double *v = bankRc(l);
+        const double *sv = stableBankRc(l);
+        for (int i = 0; i < nDimms; ++i)
+            v[i] += (sv[i] - v[i]) * dd;
+    }
 }
 
 void
@@ -126,10 +145,13 @@ ThermalBatchState::copyLane(int dst, int src)
         peakDram(d)[i] = peakDram(s)[i];
         energy(d)[i] = energy(s)[i];
     }
-    for (int i = 0; i < nDimms * nBankCells; ++i) {
-        bankTemp(d)[i] = bankTemp(s)[i];
-        stableBank(d)[i] = stableBank(s)[i];
-        peakBank(d)[i] = peakBank(s)[i];
+    if (nBankCells > 0) {
+        for (int i = 0; i < nDimms; ++i) {
+            bankRc(d)[i] = bankRc(s)[i];
+            stableBankRc(d)[i] = stableBankRc(s)[i];
+        }
+        std::copy(bankEnvelope(s), bankEnvelope(s) + nDimms * nBankCells,
+                  bankEnvelope(d));
     }
     energyTimeV[d] = energyTimeV[s];
     tauAmbV[d] = tauAmbV[s];

@@ -27,6 +27,13 @@
  *
  * copyLane() is an exact double-copy of every mutable per-lane field —
  * the snapshot/fork primitive of the shared-prefix batched engine.
+ *
+ * With a bank grid (core/thermal/bank_grid.hh) a lane also carries the
+ * affine overlay, not one node per cell: one RC scalar V per DIMM
+ * (stepped with the DRAM decay, so T_c = T_dram + (w_c - 1) * V) plus
+ * a per-DIMM peak envelope of bankCells() lines. The per-window work is
+ * one step per DIMM here and one O(log cells) envelope insert per DIMM
+ * in MemoryThermalModel::finishAdvance().
  */
 
 #ifndef MEMTHERM_CORE_THERMAL_THERMAL_BATCH_HH
@@ -36,6 +43,7 @@
 #include <vector>
 
 #include "common/units.hh"
+#include "core/thermal/bank_grid.hh"
 
 namespace memtherm
 {
@@ -49,8 +57,9 @@ class ThermalBatchState
     /**
      * @param lanes number of concurrent runs the state can hold (>= 1)
      * @param dimms DIMMs per lane's representative channel (>= 1)
-     * @param bank_cells bank-grid cells per DIMM; 0 (the default, and
-     *        the lumped thermal model) allocates no bank arrays
+     * @param bank_cells bank-grid cells per DIMM, the envelope capacity;
+     *        0 (the default, and the lumped thermal model) allocates no
+     *        bank arrays
      *
      * Every temperature starts at 0; callers initialize each lane they
      * use (initLane()) before advancing it.
@@ -86,18 +95,30 @@ class ThermalBatchState
     const double *energy(int lane) const { return at(energyV, lane); }
     /// @}
 
-    /// @name Per-lane bank-grid slices, dimms() * bankCells() doubles
-    /// long, row-major by DIMM. Empty (nullptr-backed) when bankCells()
-    /// is 0 — the lumped model never touches them. Bank cells share the
-    /// DRAM node's tau, so advanceLane() steps them with decayDram and
-    /// copyLane() copies them exactly like every other mutable field.
+    /// @name Per-lane bank-overlay slices. bankRc() and stableBankRc()
+    /// are dimms() doubles long; bankEnvelope() is dimms() * bankCells()
+    /// lines, DIMM d's Li Chao tree at offset d * bankCells(). All are
+    /// empty (nullptr-backed) when bankCells() is 0 — the lumped model
+    /// never touches them. V shares the DRAM node's tau, so
+    /// advanceLane() steps it with decayDram, and copyLane() copies the
+    /// overlay exactly like every other mutable field.
     /// @{
-    double *bankTemp(int lane) { return bankAt(bankTempV, lane); }
-    const double *bankTemp(int lane) const { return bankAt(bankTempV, lane); }
-    double *stableBank(int lane) { return bankAt(stableBankV, lane); }
-    double *peakBank(int lane) { return bankAt(peakBankV, lane); }
-    const double *peakBank(int lane) const { return bankAt(peakBankV, lane); }
+    double *bankRc(int lane) { return bankAt(bankRcV, lane); }
+    const double *bankRc(int lane) const { return bankAt(bankRcV, lane); }
+    double *stableBankRc(int lane) { return bankAt(stableBankRcV, lane); }
+    BankLine *bankEnvelope(int lane) { return envAt(bankEnvV, lane); }
+    const BankLine *bankEnvelope(int lane) const
+    {
+        return envAt(bankEnvV, lane);
+    }
     /// @}
+
+    /**
+     * Restart a lane's bank peaks: fill every node of DIMM d's envelope
+     * with the line (dramTemp[d], bankRc[d]), the lane's current state.
+     * No-op without a bank grid.
+     */
+    void seedBankEnvelope(int lane);
 
     /** Time a lane's energy accumulators have integrated over. */
     Seconds &energyTime(int lane) { return energyTimeV[checked(lane)]; }
@@ -127,7 +148,8 @@ class ThermalBatchState
 
     /**
      * Exact copy of every mutable per-lane field (temperatures, staged
-     * targets, peaks, energy, energy time, taus and decay factors) from
+     * targets, peaks, bank overlay and envelope, energy, energy time,
+     * taus and decay factors) from
      * lane @p src to lane @p dst — the snapshot/fork primitive. A forked
      * lane continues bit-identically to a run that had computed the
      * prefix itself.
@@ -145,10 +167,18 @@ class ThermalBatchState
     }
     double *bankAt(std::vector<double> &v, int lane)
     {
+        return nBankCells ? at(v, lane) : nullptr;
+    }
+    const double *bankAt(const std::vector<double> &v, int lane) const
+    {
+        return nBankCells ? at(v, lane) : nullptr;
+    }
+    BankLine *envAt(std::vector<BankLine> &v, int lane)
+    {
         return v.data() + static_cast<std::size_t>(checked(lane)) * nDimms *
                               nBankCells;
     }
-    const double *bankAt(const std::vector<double> &v, int lane) const
+    const BankLine *envAt(const std::vector<BankLine> &v, int lane) const
     {
         return v.data() + static_cast<std::size_t>(checked(lane)) * nDimms *
                               nBankCells;
@@ -168,9 +198,9 @@ class ThermalBatchState
     std::vector<double> energyV;     ///< per-DIMM energy since reset (J)
     std::vector<Seconds> energyTimeV;
 
-    std::vector<double> bankTempV;   ///< bank-cell temperatures
-    std::vector<double> stableBankV; ///< staged stable bank-cell targets
-    std::vector<double> peakBankV;   ///< per-cell maxima since reset
+    std::vector<double> bankRcV;       ///< per-DIMM overlay scalar V
+    std::vector<double> stableBankRcV; ///< staged V targets (P * psiDram)
+    std::vector<BankLine> bankEnvV;    ///< per-DIMM peak envelopes
 
     std::vector<Seconds> tauAmbV;  ///< per-lane AMB time constant
     std::vector<Seconds> tauDramV; ///< per-lane DRAM time constant

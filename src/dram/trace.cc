@@ -1,8 +1,10 @@
 #include "dram/trace.hh"
 
+#include <algorithm>
 #include <cmath>
 #include <fstream>
 #include <sstream>
+#include <string_view>
 
 #include "common/logging.hh"
 #include "common/rng.hh"
@@ -19,9 +21,50 @@ at(const std::string &name, std::size_t line)
     return "trace '" + name + "' line " + std::to_string(line);
 }
 
+/**
+ * Split the next line off @p rest, as std::getline does: the text up to
+ * (not including) the next '\n', or the unterminated tail. False once
+ * @p rest is empty.
+ */
+bool
+nextLine(std::string_view &rest, std::string_view &line)
+{
+    if (rest.empty())
+        return false;
+    const std::size_t nl = rest.find('\n');
+    line = rest.substr(0, nl);
+    rest.remove_prefix(nl == std::string_view::npos ? rest.size() : nl + 1);
+    return true;
+}
+
+/** The set operator>> splits strings on in the C locale: " \t\n\v\f\r". */
+bool
+isSpace(char c)
+{
+    return c == ' ' || (c >= '\t' && c <= '\r');
+}
+
+/**
+ * Take the next whitespace-delimited token off @p rest, as operator>>
+ * on a string would; empty when none is left.
+ */
+std::string_view
+nextToken(std::string_view &rest)
+{
+    std::size_t b = 0;
+    while (b < rest.size() && isSpace(rest[b]))
+        ++b;
+    std::size_t e = b;
+    while (e < rest.size() && !isSpace(rest[e]))
+        ++e;
+    const std::string_view tok = rest.substr(b, e - b);
+    rest.remove_prefix(e);
+    return tok;
+}
+
 /** Parse a decimal or 0x-prefixed hex integer; false on junk. */
 bool
-parseU64(const std::string &tok, std::uint64_t &out)
+parseU64(std::string_view tok, std::uint64_t &out)
 {
     if (tok.empty())
         return false;
@@ -43,8 +86,10 @@ parseU64(const std::string &tok, std::uint64_t &out)
             digit = c - 'A' + 10;
         else
             return false;
-        if (v > (~0ULL - static_cast<std::uint64_t>(digit)) /
-                    static_cast<std::uint64_t>(base))
+        // Overflow check; the literal divisors compile to multiplies,
+        // not a 64-bit division per digit.
+        const std::uint64_t room = ~0ULL - static_cast<std::uint64_t>(digit);
+        if (v > (base == 16 ? room / 16 : room / 10))
             return false; // overflow
         v = v * static_cast<std::uint64_t>(base) +
             static_cast<std::uint64_t>(digit);
@@ -58,26 +103,27 @@ parseU64(const std::string &tok, std::uint64_t &out)
 std::vector<TraceRecord>
 parseTrace(const std::string &text, const std::string &name)
 {
-    std::istringstream in(text);
-    std::string line;
+    std::string_view rest = text;
+    std::string_view line;
     std::size_t line_no = 0;
 
-    if (!std::getline(in, line))
+    if (!nextLine(rest, line))
         fatal("trace '" + name + "': empty file (expected header "
               "'#memtherm-trace v" + std::to_string(kTraceFormatVersion) +
               "')");
     ++line_no;
     {
-        std::istringstream hs(line);
-        std::string magic, ver;
-        hs >> magic >> ver;
+        std::string_view hs = line;
+        const std::string_view magic = nextToken(hs);
+        const std::string_view ver = nextToken(hs);
         if (magic != "#memtherm-trace" || ver.size() < 2 || ver[0] != 'v')
             fatal(at(name, line_no) +
                   ": bad header (expected '#memtherm-trace v" +
                   std::to_string(kTraceFormatVersion) + "')");
         std::uint64_t v = 0;
         if (!parseU64(ver.substr(1), v))
-            fatal(at(name, line_no) + ": bad version '" + ver + "'");
+            fatal(at(name, line_no) + ": bad version '" + std::string(ver) +
+                  "'");
         if (static_cast<int>(v) > kTraceFormatVersion)
             fatal("trace '" + name + "': format version " +
                   std::to_string(v) + " is newer than this binary's v" +
@@ -86,35 +132,42 @@ parseTrace(const std::string &text, const std::string &name)
     }
 
     std::vector<TraceRecord> out;
-    while (std::getline(in, line)) {
+    // Upper bound (comments and blanks included): one allocation.
+    out.reserve(static_cast<std::size_t>(
+        std::count(rest.begin(), rest.end(), '\n') + 1));
+    while (nextLine(rest, line)) {
         ++line_no;
         // Skip blanks and comments.
         std::size_t first = line.find_first_not_of(" \t\r");
-        if (first == std::string::npos || line[first] == '#')
+        if (first == std::string_view::npos || line[first] == '#')
             continue;
-        std::istringstream ls(line);
-        std::string addr_tok, op_tok, bytes_tok, extra;
-        ls >> addr_tok >> op_tok >> bytes_tok;
+        std::string_view ls = line;
+        const std::string_view addr_tok = nextToken(ls);
+        const std::string_view op_tok = nextToken(ls);
+        const std::string_view bytes_tok = nextToken(ls);
         if (bytes_tok.empty())
             fatal(at(name, line_no) +
-                  ": expected '<addr> <r|w> <bytes>', got '" + line + "'");
-        if (ls >> extra)
-            fatal(at(name, line_no) + ": trailing token '" + extra + "'");
+                  ": expected '<addr> <r|w> <bytes>', got '" +
+                  std::string(line) + "'");
+        if (const std::string_view extra = nextToken(ls); !extra.empty())
+            fatal(at(name, line_no) + ": trailing token '" +
+                  std::string(extra) + "'");
         TraceRecord rec;
         if (!parseU64(addr_tok, rec.addr))
-            fatal(at(name, line_no) + ": bad address '" + addr_tok + "'");
+            fatal(at(name, line_no) + ": bad address '" +
+                  std::string(addr_tok) + "'");
         if (op_tok == "r")
             rec.write = false;
         else if (op_tok == "w")
             rec.write = true;
         else
-            fatal(at(name, line_no) + ": bad op '" + op_tok +
+            fatal(at(name, line_no) + ": bad op '" + std::string(op_tok) +
                   "' (expected r or w)");
         std::uint64_t bytes = 0;
         if (!parseU64(bytes_tok, bytes) || bytes == 0 ||
             bytes > 0xffffffffULL)
-            fatal(at(name, line_no) + ": bad byte count '" + bytes_tok +
-                  "'");
+            fatal(at(name, line_no) + ": bad byte count '" +
+                  std::string(bytes_tok) + "'");
         rec.bytes = static_cast<std::uint32_t>(bytes);
         out.push_back(rec);
     }
@@ -129,9 +182,11 @@ loadTrace(const std::string &path)
     std::ifstream in(path, std::ios::binary);
     if (!in)
         fatal("trace '" + path + "': cannot open file");
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    return parseTrace(buf.str(), path);
+    std::string text;
+    char chunk[1 << 16];
+    while (in.read(chunk, sizeof chunk) || in.gcount() > 0)
+        text.append(chunk, static_cast<std::size_t>(in.gcount()));
+    return parseTrace(text, path);
 }
 
 std::string

@@ -1829,6 +1829,23 @@ TEST(ScenarioSpec, PinsDocumentedErrorsExampleHashesAndLabels)
          {},
          "scenario: thermal model 2x1:0.5|0.25 bank weights must sum to 1 "
          "(got 0.75)"},
+        {"",
+         [=](ScenarioSpec &s) {
+             s.trafficShape.shares = {0.5, nan, 0.25, 0.25};
+         },
+         "scenario: traffic shape 0.5|nan|0.25|0.25 shares must be "
+         "finite"},
+        {"",
+         [=](ScenarioSpec &s) {
+             s.refresh.bands = {RefreshBand{0.0, nan, 0.0, 1.0}};
+         },
+         "scenario: refresh model 0:nan:0 bands must be finite"},
+        {"",
+         [=](ScenarioSpec &s) {
+             s.thermalModel.grid = BankGridConfig{2, 1, {nan, 0.5}};
+         },
+         "scenario: thermal model 2x1:nan|0.5 bank weights must be "
+         "finite"},
         // --- trace conflicts
         {R"("config": {"trace": "t.trace", "traffic_shape": "uniform"})",
          {},

@@ -14,6 +14,10 @@
  *    unset, and a grid-free result carries no per-bank fields;
  *  - batched/forked lanes are bit-identical to scalar runs with the
  *    grid active;
+ *  - the affine overlay's envelope peaks match the per-cell RC
+ *    iteration it replaced (kept here as the oracle) within 1e-9
+ *    relative on a 4x8 organization with a 32x32 grid, under DTM-TS
+ *    shutdowns, remap policies, ddr2_2x refresh and forks;
  *  - concentrated weights expose a per-bank hotspot >= 5 C above the
  *    lumped DIMM peak (the bank_hotspot example's headline);
  *  - ThermalModelSpec and lower() report bad grids and conflicting
@@ -24,18 +28,25 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iostream>
+#include <limits>
 #include <memory>
 #include <numeric>
+#include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/logging.hh"
 #include "common/rng.hh"
+#include "core/power/dimm_traffic.hh"
 #include "core/sim/engine.hh"
+#include "core/sim/refresh_model.hh"
 #include "core/sim/registry.hh"
 #include "core/sim/scenario.hh"
 #include "core/thermal/bank_grid.hh"
 #include "core/thermal/memory_thermal.hh"
+#include "dram/trace.hh"
 
 namespace memtherm
 {
@@ -395,6 +406,415 @@ TEST(BankGridSim, ForkedLanesBitIdenticalToScalarWithGridActive)
         auto fresh = PolicyRegistry::instance().make(names[i], ctx);
         SimResult scalar = sim.run(workloadMix("W1"), *fresh, scratch);
         ASSERT_FALSE(scalar.peakBankDramPerDimm.empty());
+        expectIdentical(batched[i], scalar);
+    }
+}
+
+// --- affine overlay vs. the per-cell oracle ---------------------------
+
+TEST(BankOverlayPrimitives, SlopesAreSortedDistinctAndIndexTheirCells)
+{
+    Rng rng(31);
+    const int dimms = 3;
+    BankGridConfig g{5, 3, {}};
+    g.weights = randomWeights(rng, g.cells());
+    const std::vector<double> w = resolveBankCellWeights(g, dimms);
+    const BankSlopes s = resolveBankSlopes(w, dimms, g.cells());
+    ASSERT_EQ(s.cells, g.cells());
+    for (int d = 0; d < dimms; ++d) {
+        const double *x = s.x.data() + d * g.cells();
+        const int n = s.count[d];
+        ASSERT_GE(n, 1);
+        for (int i = 1; i < n; ++i)
+            EXPECT_LT(x[i - 1], x[i]);
+        for (int c = 0; c < g.cells(); ++c) {
+            const int slot = s.slot[d * g.cells() + c];
+            ASSERT_GE(slot, 0);
+            ASSERT_LT(slot, n);
+            EXPECT_EQ(x[slot], w[d * g.cells() + c] - 1.0);
+        }
+    }
+    // Uniform weights: one slope, exactly 0, per DIMM.
+    const BankSlopes u =
+        resolveBankSlopes(resolveBankCellWeights({4, 2, {}}, 2), 2, 8);
+    EXPECT_EQ(u.count, (std::vector<int>{1, 1}));
+    EXPECT_EQ(u.x[0], 0.0);
+    EXPECT_EQ(u.x[8], 0.0);
+}
+
+TEST(BankOverlayPrimitives, EnvelopeMatchesBruteForceMaximum)
+{
+    Rng rng(2026);
+    for (int trial = 0; trial < 200; ++trial) {
+        const int n = 1 + static_cast<int>(rng.below(64));
+        std::vector<double> x(n);
+        double at = -1.0;
+        for (double &v : x)
+            v = at += 0.01 + rng.uniform();
+        const BankLine seed{40.0 + rng.uniform(), rng.uniform() - 0.5};
+        std::vector<BankLine> nodes(n, seed);
+        std::vector<BankLine> lines{seed};
+        const int inserts = static_cast<int>(rng.below(200));
+        for (int k = 0; k < inserts; ++k) {
+            const BankLine l{40.0 + 10.0 * rng.uniform(),
+                             4.0 * (rng.uniform() - 0.5)};
+            bankEnvelopeInsert(x.data(), n, nodes.data(), l);
+            lines.push_back(l);
+        }
+        for (int i = 0; i < n; ++i) {
+            double best = -std::numeric_limits<double>::infinity();
+            for (const BankLine &l : lines)
+                best = std::max(best, l.at(x[i]));
+            EXPECT_NEAR(bankEnvelopeQuery(x.data(), n, nodes.data(), i),
+                        best, 1e-12 * std::abs(best));
+        }
+    }
+}
+
+TEST(BankOverlayPrimitives, BatchStateStepsSeedsAndCopiesTheOverlay)
+{
+    ThermalBatchState st(2, 2, 3);
+    st.initLane(0, 5.0, 2.0, 40.0);
+    st.initLane(1, 5.0, 2.0, 0.0);
+    // initLane seeds every node with (t0, V = 0).
+    for (int i = 0; i < 6; ++i) {
+        EXPECT_EQ(st.bankEnvelope(0)[i].t, 40.0);
+        EXPECT_EQ(st.bankEnvelope(0)[i].v, 0.0);
+    }
+    st.stableDram(0)[0] = st.stableDram(0)[1] = 40.0;
+    st.stableBankRc(0)[0] = 3.0;
+    st.stableBankRc(0)[1] = -1.5;
+    st.ensureDecay(0.5);
+    st.advanceLane(0);
+    const double dd = 1.0 - std::exp(-0.5 / 2.0);
+    EXPECT_EQ(st.bankRc(0)[0], 3.0 * dd);
+    EXPECT_EQ(st.bankRc(0)[1], -1.5 * dd);
+    // Reseeding restarts DIMM d's envelope from (T_dram, V).
+    st.seedBankEnvelope(0);
+    EXPECT_EQ(st.bankEnvelope(0)[4].t, st.dramTemp(0)[1]);
+    EXPECT_EQ(st.bankEnvelope(0)[4].v, st.bankRc(0)[1]);
+    st.bankEnvelope(0)[2] = BankLine{41.0, 0.25};
+    st.copyLane(1, 0);
+    for (int i = 0; i < 2; ++i) {
+        EXPECT_EQ(st.bankRc(1)[i], st.bankRc(0)[i]);
+        EXPECT_EQ(st.stableBankRc(1)[i], st.stableBankRc(0)[i]);
+    }
+    for (int i = 0; i < 6; ++i) {
+        EXPECT_EQ(st.bankEnvelope(1)[i].t, st.bankEnvelope(0)[i].t);
+        EXPECT_EQ(st.bankEnvelope(1)[i].v, st.bankEnvelope(0)[i].v);
+    }
+    // The lumped layout allocates no overlay.
+    ThermalBatchState lumped(2, 2);
+    EXPECT_EQ(lumped.bankRc(1), nullptr);
+}
+
+/**
+ * The bank grid as it was before the affine overlay, kept as the test
+ * oracle: one Eq. 3.5 RC node per cell stepped toward Eq. 3.4 with the
+ * DIMM's DRAM power scaled by the cell's weight, and a running maximum
+ * per cell — 8192 updates per window on a 4x8 organization at 32x32.
+ */
+class PerCellOracle
+{
+  public:
+    PerCellOracle(const MemoryOrgConfig &org, const CoolingConfig &cool,
+                  const BankGridConfig &grid)
+        : org(org), cool(cool), cells(grid.cells()),
+          w(resolveBankCellWeights(grid, org.nDimmsPerChannel)),
+          temp(w.size()), peak(w.size())
+    {
+    }
+
+    void
+    resetToStable(GBps read, GBps write, Celsius ambient,
+                  const std::vector<double> &shares)
+    {
+        const std::vector<DimmPower> p = power(read, write, shares, {});
+        for (std::size_t i = 0; i < w.size(); ++i)
+            temp[i] = peak[i] = target(ambient, p[i / cells], w[i]);
+    }
+
+    void
+    advance(GBps read, GBps write, Celsius ambient, Seconds dt,
+            const std::vector<double> &shares,
+            const std::vector<Watts> &refresh)
+    {
+        const double dd = 1.0 - std::exp(-dt / cool.tauDram);
+        const std::vector<DimmPower> p = power(read, write, shares, refresh);
+        for (std::size_t i = 0; i < w.size(); ++i) {
+            temp[i] += (target(ambient, p[i / cells], w[i]) - temp[i]) * dd;
+            peak[i] = std::max(peak[i], temp[i]);
+        }
+    }
+
+    const std::vector<Celsius> &peaks() const { return peak; }
+
+  private:
+    std::vector<DimmPower>
+    power(GBps read, GBps write, const std::vector<double> &shares,
+          const std::vector<Watts> &refresh) const
+    {
+        const std::vector<DimmTraffic> traffic = decomposeChannelTraffic(
+            read / org.nChannels, write / org.nChannels,
+            org.nDimmsPerChannel, shares);
+        std::vector<DimmPower> p;
+        for (std::size_t d = 0; d < traffic.size(); ++d) {
+            p.push_back(
+                DimmPowerModel{}.power(traffic[d], d + 1 == traffic.size()));
+            if (!refresh.empty())
+                p.back().dram += refresh[d];
+        }
+        return p;
+    }
+
+    Celsius
+    target(Celsius ambient, const DimmPower &p, double wc) const
+    {
+        return ambient + p.amb * cool.psiAmbToDram +
+               (p.dram * wc) * cool.psiDram;
+    }
+
+    MemoryOrgConfig org;
+    CoolingConfig cool;
+    std::size_t cells;
+    std::vector<double> w;
+    std::vector<Celsius> temp;
+    std::vector<Celsius> peak;
+};
+
+/** How much of the driven run's behavior a case actually exercised. */
+struct OverlayCoverage
+{
+    int shutdownWindows = 0;
+    int remaps = 0;
+    int hotBandSamples = 0;
+};
+
+/**
+ * Drive a MemoryThermalModel (lane 0 of a two-lane batch state) and the
+ * oracle with the same seeded inputs the simulator would produce: random
+ * traffic and a wandering inlet, DTM decisions every 10 windows from the
+ * registered @p policy (shutdowns zero the traffic, remaps replace the
+ * shares), and ddr2_2x refresh power from each DIMM's band. Halfway, a
+ * fork continues on lane 1 with the same inputs; it and a deep copy must
+ * end byte-identical to the original. Returns the largest relative
+ * error of the overlay peaks against the oracle.
+ */
+double
+overlayErrorVsOracle(const BankGridConfig &grid, const std::string &policy,
+                     std::uint64_t seed, OverlayCoverage &cov)
+{
+    const MemoryOrgConfig org{4, 8};
+    const CoolingConfig cool = coolingFdhs10();
+    const SimConfig sim = makeCh4Config(cool, false);
+    const RefreshModel refresh = refreshModelByName("ddr2_2x");
+    const Seconds dt = sim.window;
+    const int windows = 10000;
+
+    std::vector<double> shares{0.37, 0.09, 0.09, 0.09,
+                               0.09, 0.09, 0.09, 0.09};
+    PolicyBuildContext ctx{sim.dtmInterval, sim.emergencyLevels, 0.25,
+                           sim.remapHysteresis, shares};
+    auto pol = PolicyRegistry::instance().make(policy, ctx);
+
+    Rng rng(seed);
+    Celsius ambient = 45.0;
+    ThermalBatchState state(2, org.nDimmsPerChannel, grid.cells());
+    MemoryThermalModel model(org, cool, DimmPowerModel{}, ambient, shares,
+                             state, 0, grid);
+    PerCellOracle oracle(org, cool, grid);
+    model.resetToStable(0.0, 0.0, ambient);
+    oracle.resetToStable(0.0, 0.0, ambient, shares);
+    std::optional<MemoryThermalModel> fork;
+
+    // A fork's lane holds the original's V and envelope, double for
+    // double, from the fork on.
+    auto expectLanesEqual = [&] {
+        const int n = org.nDimmsPerChannel;
+        EXPECT_TRUE(std::equal(state.bankRc(0), state.bankRc(0) + n,
+                               state.bankRc(1)));
+        EXPECT_TRUE(std::equal(
+            state.bankEnvelope(0), state.bankEnvelope(0) + n * grid.cells(),
+            state.bankEnvelope(1), [](const BankLine &a, const BankLine &b) {
+                return a.t == b.t && a.v == b.v;
+            }));
+    };
+
+    DtmAction action;
+    std::vector<Celsius> amb, dram;
+    std::vector<Watts> refresh_w(org.nDimmsPerChannel);
+    for (int win = 0; win < windows; ++win) {
+        model.currentPerDimm(amb, dram);
+        if (win % 10 == 0) {
+            ThermalReading r;
+            r.amb = *std::max_element(amb.begin(), amb.end());
+            r.dram = *std::max_element(dram.begin(), dram.end());
+            r.inlet = ambient;
+            r.ambPerDimm = amb;
+            r.dramPerDimm = dram;
+            action = pol->decide(r, win * dt);
+            if (!action.trafficShares.empty()) {
+                shares = action.trafficShares;
+                model.setTrafficShares(shares);
+                if (fork)
+                    fork->setTrafficShares(shares);
+                ++cov.remaps;
+            }
+        }
+        for (std::size_t d = 0; d < dram.size(); ++d) {
+            refresh_w[d] = refresh.bandAt(dram[d]).dramPower;
+            cov.hotBandSamples +=
+                refresh_w[d] > refresh.bands.front().dramPower;
+        }
+        model.setRefreshDramPower(refresh_w);
+        if (fork)
+            fork->setRefreshDramPower(refresh_w);
+
+        GBps read = 6.0 + 12.0 * rng.uniform();
+        GBps write = read * 0.5 * rng.uniform();
+        if (!action.memoryOn) {
+            read = write = 0.0;
+            ++cov.shutdownWindows;
+        } else if (read + write > action.bandwidthCap) {
+            const double f = action.bandwidthCap / (read + write);
+            read *= f;
+            write *= f;
+        }
+        ambient = std::clamp(ambient + 0.2 * (rng.uniform() - 0.5), 43.0,
+                             47.0);
+
+        model.advance(read, write, ambient, dt);
+        oracle.advance(read, write, ambient, dt, shares, refresh_w);
+        if (fork)
+            fork->advance(read, write, ambient, dt);
+        if (win == windows / 2) {
+            fork.emplace(model, state, 1);
+            expectLanesEqual();
+        }
+    }
+    expectLanesEqual();
+
+    const std::vector<Celsius> got = model.bankPeaks();
+    const std::vector<Celsius> &want = oracle.peaks();
+    EXPECT_EQ(got.size(), want.size());
+    double worst = 0.0;
+    for (std::size_t i = 0; i < got.size() && i < want.size(); ++i)
+        worst = std::max(worst, std::abs(got[i] - want[i]) /
+                                    std::abs(want[i]));
+
+    // Forks and copies carry V and the envelope exactly.
+    EXPECT_EQ(fork->bankPeaks(), got);
+    EXPECT_EQ(MemoryThermalModel(model).bankPeaks(), got);
+    const std::vector<DimmTemps> fp = fork->dimmPeaks();
+    const std::vector<DimmTemps> mp = model.dimmPeaks();
+    for (std::size_t d = 0; d < mp.size(); ++d) {
+        EXPECT_EQ(fp[d].amb, mp[d].amb);
+        EXPECT_EQ(fp[d].dram, mp[d].dram);
+    }
+    return worst;
+}
+
+/**
+ * A seeded skewed trace decoded against a 4x8 organization with a 32x32
+ * grid: 40% of accesses on DIMM 0 and half on 16 hot banks, laid out in
+ * the decoder's block interleave (channel, DIMM, then bank cell).
+ */
+TraceProfile
+skewedTraceProfile(std::uint64_t seed)
+{
+    const std::uint64_t channels = 4, dimms = 8, cells = 1024;
+    Rng rng(seed);
+    std::vector<std::uint64_t> hot(16);
+    for (auto &b : hot)
+        b = rng.below(cells);
+    std::vector<TraceRecord> recs(60000);
+    for (TraceRecord &r : recs) {
+        const std::uint64_t ch = rng.below(channels);
+        const std::uint64_t d =
+            rng.uniform() < 0.4 ? 0 : rng.below(dimms);
+        const std::uint64_t bank =
+            rng.uniform() < 0.5 ? hot[rng.below(16)] : rng.below(cells);
+        const std::uint64_t row = rng.below(1 << 16);
+        r.addr = (((row * cells + bank) * dimms + d) * channels + ch) * 64;
+        r.write = rng.uniform() < 0.3;
+    }
+    return decodeTrace(recs, channels, dimms, cells);
+}
+
+TEST(BankOverlay, EnvelopePeaksMatchPerCellOracle)
+{
+    Rng rng(20261020);
+    const BankGridConfig random_grid{32, 32, randomWeights(rng, 32 * 32)};
+    const BankGridConfig trace_grid{32, 32,
+                                    skewedTraceProfile(7).bankWeights};
+    ASSERT_EQ(trace_grid.weights.size(), 8u * 1024u);
+
+    // Each policy once, alternating the two weight sets.
+    const std::vector<std::pair<std::string, const BankGridConfig *>>
+        cases{{"DTM-TS", &random_grid},
+              {"DTM-remap", &trace_grid},
+              {"DTM-remap-hyst", &random_grid},
+              {"DTM-TS+remap", &trace_grid}};
+    double worst = 0.0;
+    OverlayCoverage cov;
+    std::uint64_t seed = 1;
+    for (const auto &[policy, grid] : cases) {
+        SCOPED_TRACE(policy);
+        const double err = overlayErrorVsOracle(*grid, policy, seed++, cov);
+        EXPECT_LE(err, 1e-9);
+        worst = std::max(worst, err);
+    }
+    // The comparison must not be vacuous: memory shut down, shares
+    // moved, and DIMMs reached the hot refresh band.
+    EXPECT_GT(cov.shutdownWindows, 0);
+    EXPECT_GT(cov.remaps, 0);
+    EXPECT_GT(cov.hotBandSamples, 0);
+    std::cout << "[ overlay  ] max relative peak error vs per-cell oracle: "
+              << worst << " (shutdown windows " << cov.shutdownWindows
+              << ", remaps " << cov.remaps << ", hot-band samples "
+              << cov.hotBandSamples << ")\n";
+}
+
+/**
+ * The batched engine on the overlay at full size: trace-decoded shares
+ * and per-DIMM weights on a 4x8 organization with a 32x32 grid, ddr2_2x
+ * refresh and the remap lineup. Every forked lane equals its scalar run.
+ */
+TEST(BankOverlay, ForkedLanesBitIdenticalOnTraceDecoded32x32Grid)
+{
+    const TraceProfile prof = skewedTraceProfile(11);
+
+    SimConfig cfg = makeCh4Config(coolingFdhs10(), false);
+    cfg.copiesPerApp = 4;
+    cfg.org = {4, 8};
+    cfg.ambient.tInlet = 46.0;
+    cfg.remapInterval = 0.25;
+    cfg.trafficShares = prof.dimmShares;
+    cfg.refresh = refreshModelByName("ddr2_2x");
+    cfg.bankGrid = BankGridConfig{32, 32, prof.bankWeights};
+
+    const std::vector<std::string> names{"DTM-TS", "DTM-remap",
+                                         "DTM-remap-hyst", "DTM-TS+remap"};
+    ThermalSimulator sim(cfg);
+    ThermalSimulator::Scratch scratch;
+    PolicyBuildContext ctx{cfg.dtmInterval, cfg.emergencyLevels,
+                           cfg.remapInterval, cfg.remapHysteresis,
+                           cfg.trafficShares};
+    std::vector<std::unique_ptr<DtmPolicy>> policies;
+    std::vector<DtmPolicy *> ptrs;
+    for (const auto &n : names) {
+        policies.push_back(PolicyRegistry::instance().make(n, ctx));
+        ptrs.push_back(policies.back().get());
+    }
+    BatchStats stats;
+    std::vector<SimResult> batched =
+        sim.runBatch(workloadMix("W1"), ptrs, scratch, &stats);
+    ASSERT_EQ(batched.size(), names.size());
+    EXPECT_GT(stats.forks, 0u);
+    for (std::size_t i = 0; i < names.size(); ++i) {
+        auto fresh = PolicyRegistry::instance().make(names[i], ctx);
+        SimResult scalar = sim.run(workloadMix("W1"), *fresh, scratch);
+        ASSERT_EQ(scalar.peakBankDramPerDimm.size(), 8u * 1024u);
         expectIdentical(batched[i], scalar);
     }
 }
