@@ -43,6 +43,29 @@ BM_SolvePerfWindowSaturated(benchmark::State &state)
 }
 
 void
+BM_SolvePerfWindowOneTask(benchmark::State &state)
+{
+    // One streaming task, unconstrained, through the allocation-free
+    // overload: per-task work is minimal, so this shows the fixed cost
+    // of the solve (a chain of dependent divisions per evaluation).
+    CoreTask stream;
+    stream.cpiCore = 0.55;
+    stream.mpki = 50.0;
+    stream.writeFrac = 0.45;
+    stream.specFrac = 0.10;
+    stream.mlpOverlap = 0.86;
+    std::vector<CoreTask> tasks(1, stream);
+    WindowPerf p;
+    for (auto _ : state) {
+        solvePerfWindow(tasks, 3.2, 3.2,
+                        std::numeric_limits<double>::infinity(), {}, p);
+        benchmark::DoNotOptimize(p.totalRead);
+    }
+    state.counters["evaluations"] = p.evaluations;
+    state.SetItemsProcessed(state.iterations());
+}
+
+void
 BM_SolvePerfWindowCapLimited(benchmark::State &state)
 {
     // Four streaming (swim-like) tasks under a 6.4 GB/s DTM cap, through
@@ -95,6 +118,7 @@ BM_MemSpotWindow(benchmark::State &state)
 
 BENCHMARK(BM_SolvePerfWindowUnsaturated);
 BENCHMARK(BM_SolvePerfWindowSaturated);
+BENCHMARK(BM_SolvePerfWindowOneTask);
 BENCHMARK(BM_SolvePerfWindowCapLimited);
 BENCHMARK(BM_MemoryThermalAdvance);
 BENCHMARK(BM_MemSpotWindow)->Unit(benchmark::kMillisecond);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <utility>
 #include <vector>
 
@@ -26,6 +27,47 @@ senseTemp(Celsius exact, double sigma, double quant, Rng &rng)
 }
 
 } // namespace
+
+TaskInputTable::TaskInputTable(const Workload &mix, int cores,
+                               Seconds rotation_slice)
+    : cores(static_cast<std::size_t>(cores)), slice(rotation_slice)
+{
+    for (const AppDescriptor *app : mix.apps)
+        if (std::find(apps.begin(), apps.end(), app) == apps.end())
+            apps.push_back(app);
+    constexpr double unset = std::numeric_limits<double>::quiet_NaN();
+    sharedMpki.assign(apps.size() * this->cores, unset);
+    refillMpki.assign(apps.size(), unset);
+}
+
+std::size_t
+TaskInputTable::row(const AppDescriptor *app) const
+{
+    const auto it = std::find(apps.begin(), apps.end(), app);
+    panicIfNot(it != apps.end(), "TaskInputTable: app is not in the mix");
+    return static_cast<std::size_t>(it - apps.begin());
+}
+
+double
+TaskInputTable::mpkiAt(std::size_t row, int sharers)
+{
+    double &v =
+        sharedMpki[row * cores + static_cast<std::size_t>(sharers - 1)];
+    if (std::isnan(v))
+        v = mpkiAtSharers(apps[row]->cache, static_cast<double>(sharers));
+    return v;
+}
+
+double
+TaskInputTable::switchCost(std::size_t row)
+{
+    double &v = refillMpki[row];
+    if (std::isnan(v)) {
+        const AppDescriptor &app = *apps[row];
+        v = switchMpki(app.refillLines, app.nominalGips, slice);
+    }
+    return v;
+}
 
 SimConfig
 makeCh4Config(const CoolingConfig &cooling, bool integrated)
@@ -54,6 +96,7 @@ ThermalSimulator::ThermalSimulator(SimConfig c) : cfg(std::move(c))
 ThermalSimulator::Lane::Lane(const SimConfig &cfg, const Workload &mix,
                              ThermalBatchState &state, int lane_index)
     : batch(mix, cfg.copiesPerApp, cfg.instrScale),
+      inputs(mix, cfg.nCores, cfg.rotationSlice),
       ambient(cfg.ambient),
       mem(cfg.org, cfg.cooling, DimmPowerModel{}, ambient.temperature(),
           cfg.trafficShares, state, lane_index, cfg.bankGrid),
@@ -98,6 +141,7 @@ ThermalSimulator::Lane::Lane(const Lane &src, ThermalBatchState &state,
     : res(src.res),
       batch(src.batch),
       slot(src.slot),
+      inputs(src.inputs),
       ambient(src.ambient),
       mem(src.mem, state, lane_index),
       sensorRng(src.sensorRng),
@@ -174,7 +218,7 @@ ThermalSimulator::windowPre(Lane &lane, Scratch &scratch) const
     std::vector<BatchJob::Instance *> &slot = lane.slot;
     std::vector<std::size_t> &occupied = scratch.occupied;
     std::vector<std::size_t> &scheduled = scratch.scheduled;
-    std::vector<double> &sharers = scratch.sharers;
+    std::vector<int> &sharers = scratch.sharers;
     std::vector<CoreTask> &tasks = scratch.tasks;
     std::vector<double> &task_mpki = scratch.taskMpki;
     std::vector<double> &activities = scratch.activities;
@@ -205,15 +249,14 @@ ThermalSimulator::windowPre(Lane &lane, Scratch &scratch) const
     // --- L2 sharer counts -------------------------------------------
     // Chapter 4: one shared L2 across all cores. Chapter 5: one L2
     // per 2-core socket.
-    sharers.assign(scheduled.size(),
-                   static_cast<double>(scheduled.size()));
+    sharers.assign(scheduled.size(), static_cast<int>(scheduled.size()));
     if (cfg.perSocketL2) {
         for (std::size_t i = 0; i < scheduled.size(); ++i) {
             std::size_t socket = scheduled[i] / 2;
-            double n = 0.0;
+            int n = 0;
             for (std::size_t j : scheduled)
                 if (j / 2 == socket)
-                    n += 1.0;
+                    ++n;
             sharers[i] = n;
         }
     }
@@ -225,12 +268,11 @@ ThermalSimulator::windowPre(Lane &lane, Scratch &scratch) const
     for (std::size_t i = 0; i < scheduled.size(); ++i) {
         const BatchJob::Instance *inst = slot[scheduled[i]];
         const AppDescriptor &app = *inst->app;
-        double mpki = mpkiAtSharers(app.cache, sharers[i]) *
+        const std::size_t row = lane.inputs.row(inst->app);
+        double mpki = lane.inputs.mpkiAt(row, sharers[i]) *
                       phaseFactor(app, inst->cpuTime);
-        if (time_shared) {
-            mpki += switchMpki(app.refillLines, app.nominalGips,
-                               cfg.rotationSlice);
-        }
+        if (time_shared)
+            mpki += lane.inputs.switchCost(row);
         CoreTask task;
         task.cpiCore = app.cpiCore;
         task.mpki = mpki;

@@ -69,6 +69,42 @@ struct BatchStats
 };
 
 /**
+ * Per-run memo of the level-1 task inputs that are pure functions of an
+ * application and a small integer: mpkiAtSharers(app.cache, s) for
+ * s = 1..cores L2 sharers, and the time-slicing refill cost
+ * switchMpki(app.refillLines, app.nominalGips, rotationSlice). A flat
+ * table with one row per distinct app of the mix; each entry is computed
+ * on its first use, so a panicIfNot in either function fires in the same
+ * window and with the same text as an unmemoized call would (a bad
+ * nominalGips still panics only in a run that time-shares). Entries are
+ * the functions' own results, so the memo is bit-exact.
+ */
+class TaskInputTable
+{
+  public:
+    /** Empty table for @p mix on @p cores cores. */
+    TaskInputTable(const Workload &mix, int cores, Seconds rotation_slice);
+
+    /** Row of @p app, which must be one of the mix's apps. */
+    std::size_t row(const AppDescriptor *app) const;
+
+    /** mpkiAtSharers(app.cache, sharers), 1 <= @p sharers <= cores. */
+    double mpkiAt(std::size_t row, int sharers);
+
+    /** switchMpki(app.refillLines, app.nominalGips, rotation slice). */
+    double switchCost(std::size_t row);
+
+  private:
+    std::vector<const AppDescriptor *> apps; ///< distinct, one per row
+    std::size_t cores;
+    Seconds slice;
+    // Not-yet-computed entries hold NaN (a NaN result is recomputed on
+    // every use, which is still exact).
+    std::vector<double> sharedMpki; ///< row-major, rows x cores
+    std::vector<double> refillMpki; ///< one per row
+};
+
+/**
  * Runs one (workload, policy) experiment to batch completion.
  */
 class ThermalSimulator
@@ -90,14 +126,16 @@ class ThermalSimulator
      *  - a Scratch must not be shared by two concurrent run() calls.
      *    The ExperimentEngine keeps one per worker thread.
      *
-     * Per-run state (core job slots, thermal lanes, RNG) lives in Lane,
-     * not here, so lanes can be forked without touching the scratch.
+     * Per-run state (core job slots, thermal lanes, RNG, the task-input
+     * memo) lives in Lane, not here, so lanes can be forked without
+     * touching the scratch and a Scratch reused across configs never
+     * serves one run's inputs to another.
      */
     struct Scratch
     {
         std::vector<std::size_t> occupied;  ///< slots holding a job
         std::vector<std::size_t> scheduled; ///< slots picked to run
-        std::vector<double> sharers;        ///< L2 sharer count per task
+        std::vector<int> sharers;           ///< L2 sharer count per task
         std::vector<CoreTask> tasks;        ///< level-1 window inputs
         std::vector<double> taskMpki;       ///< effective mpki per task
         std::vector<double> activities;     ///< per-core activity factors
@@ -132,6 +170,7 @@ class ThermalSimulator
         SimResult res;
         BatchJob batch;
         std::vector<BatchJob::Instance *> slot; ///< per-core job slots
+        TaskInputTable inputs;                   ///< level-1 input memo
         AmbientModel ambient;
         MemoryThermalModel mem; ///< view over one state lane
         Rng sensorRng;

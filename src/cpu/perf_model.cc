@@ -1,10 +1,12 @@
 #include "cpu/perf_model.hh"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <span>
 
 #include "common/logging.hh"
 
@@ -16,40 +18,75 @@ namespace
 
 constexpr double rhoMax = 0.9999;  ///< utilization clamp of the queueing map
 
-/** Per-task demand at a given effective latency. */
-struct Demand
+/**
+ * std::nextafter(@p x, @p to), as a bit step when @p x is positive and
+ * finite (every bracket end the solver steps from a physical window);
+ * other values take the library call. Consecutive positive doubles have
+ * consecutive bit patterns, so the step is exact.
+ */
+inline double
+nextToward(double x, double to)
 {
-    double ips = 0.0;
-    GBps read = 0.0;
-    GBps write = 0.0;
-    double slope = 0.0;  ///< d(read + write) / d(latency_ns)
+    if (x > 0.0 && x < std::numeric_limits<double>::infinity()) {
+        const auto bits = std::bit_cast<std::uint64_t>(x);
+        if (to > x)
+            return std::bit_cast<double>(bits + 1);
+        if (to < x)
+            return std::bit_cast<double>(bits - 1);
+    }
+    return std::nextafter(x, to);
+}
+
+/**
+ * A task's demand terms that do not depend on the latency, computed once
+ * per window, each by the same operation on the same operands as the
+ * matching subexpression of the reference evaluation, so every trial
+ * sees the same bits; and the task's rate and traffic at the latest
+ * trial and at the kept one. QueueingMap writes each task's entry whole
+ * when it is built; no member initializers, so the unused stack slots
+ * of a TermStore cost nothing.
+ */
+struct TaskTerms
+{
+    double mpkiK;      ///< mpki / 1000
+    double keep;       ///< 1 - mlpOverlap: the share of a miss not hidden
+    double readScale;  ///< 1 + specFrac * (f / fmax): fills + speculation
+    double stallPerNs; ///< mpki / 1000 * f * (1 - mlpOverlap) = dcpi/dL
+    double ips;
+    GBps traffic;
+    double keptIps;
+    GBps keptTraffic;
 };
 
-Demand
-taskDemand(const CoreTask &t, GHz f, GHz fmax, double latency_ns,
-           const MemSystemPerf &mem)
+/**
+ * Storage for one window's TaskTerms, on the stack up to 16 tasks (more
+ * cores than any modelled platform); larger task sets spill to the heap.
+ */
+class TermStore
 {
-    double stall_cpi =
-        t.mpki / 1000.0 * latency_ns * f * (1.0 - t.mlpOverlap);
-    double cpi = t.cpiCore + stall_cpi;
-    Demand d;
-    d.ips = f * 1e9 / cpi;
-    double miss_rate = d.ips * t.mpki / 1000.0; // misses per second
-    double spec = t.specFrac * (f / fmax);
-    d.read = miss_rate * mem.lineBytes * (1.0 + spec) / bytesPerGB;
-    d.write = miss_rate * mem.lineBytes * t.writeFrac / bytesPerGB;
-    // Traffic is proportional to 1/cpi, and cpi is linear in latency.
-    double stall_per_ns = t.mpki / 1000.0 * f * (1.0 - t.mlpOverlap);
-    d.slope = -(d.read + d.write) * stall_per_ns / cpi;
-    return d;
-}
+  public:
+    std::span<TaskTerms>
+    take(std::size_t n)
+    {
+        if (n <= local.size())
+            return {local.data(), n};
+        spill.resize(n);
+        return spill;
+    }
+
+  private:
+    std::array<TaskTerms, 16> local;
+    std::vector<TaskTerms> spill;
+};
 
 /** The queueing map evaluated at one trial latency. */
 struct Trial
 {
     double latency = 0.0;
     GBps total = 0.0;     ///< total demand D(latency)
-    double slope = 0.0;   ///< dD / d(latency)
+    GBps read = 0.0;      ///< read part of the total, summed per task
+    GBps write = 0.0;     ///< write part of the total, summed per task
+    double slope = 0.0;   ///< dD / d(latency); model-step trials only
     double implied = 0.0; ///< L0 * (1 + k * rho / (1 - rho))
 
     /** The solve's predicate: the root lies above this trial. */
@@ -58,42 +95,111 @@ struct Trial
 
 /**
  * One window's fixed-point problem. at() is the only place the map is
- * evaluated: the model steps, the replay and the final fill all go
- * through it, so every one of them sees the same bits.
+ * evaluated: the model steps, the replay and the fill all go through
+ * it, so every one of them sees the same bits.
  */
 struct QueueingMap
 {
-    const std::vector<CoreTask> &tasks;
-    GHz freq;
-    GHz fmax;
-    GBps capEff;
-    const MemSystemPerf &mem;
+    QueueingMap(const std::vector<CoreTask> &tasks, GHz freq, GHz fmax,
+                GBps cap_eff, const MemSystemPerf &mem,
+                std::span<TaskTerms> terms)
+        : tasks(tasks), freq(freq), fHz(freq * 1e9), capEff(cap_eff),
+          mem(mem), terms(terms)
+    {
+        const double f_rel = freq / fmax;
+        for (std::size_t i = 0; i < tasks.size(); ++i) {
+            const CoreTask &t = tasks[i];
+            const double mpki_k = t.mpki / 1000.0;
+            const double keep = 1.0 - t.mlpOverlap;
+            terms[i] = TaskTerms{.mpkiK = mpki_k,
+                                 .keep = keep,
+                                 .readScale = 1.0 + t.specFrac * f_rel,
+                                 .stallPerNs = mpki_k * freq * keep,
+                                 .ips = 0.0,
+                                 .traffic = 0.0,
+                                 .keptIps = 0.0,
+                                 .keptTraffic = 0.0};
+        }
+    }
 
     /**
-     * Evaluate at @p latency_ns; with @p out set, also append each
-     * task's rate and traffic to it.
+     * Evaluate at @p latency_ns, leaving each task's rate and traffic
+     * in its terms; with @p Slope, also the demand slope, which only
+     * the model steps read.
      */
+    template <bool Slope>
     Trial
-    at(double latency_ns, WindowPerf *out = nullptr) const
+    at(double latency_ns)
     {
         Trial t;
         t.latency = latency_ns;
-        for (const auto &task : tasks) {
-            Demand d = taskDemand(task, freq, fmax, latency_ns, mem);
-            t.total += d.read + d.write;
-            t.slope += d.slope;
-            if (out) {
-                out->ips.push_back(d.ips);
-                out->taskTraffic.push_back(d.read + d.write);
-                out->totalRead += d.read;
-                out->totalWrite += d.write;
-            }
+        for (std::size_t i = 0; i < tasks.size(); ++i) {
+            const CoreTask &task = tasks[i];
+            TaskTerms &k = terms[i];
+            const double cpi =
+                task.cpiCore + k.mpkiK * latency_ns * freq * k.keep;
+            k.ips = fHz / cpi;
+            // Misses per second, as bytes on the channel.
+            const double miss_bytes =
+                k.ips * task.mpki / 1000.0 * mem.lineBytes;
+            const GBps read = miss_bytes * k.readScale / bytesPerGB;
+            const GBps write = miss_bytes * task.writeFrac / bytesPerGB;
+            k.traffic = read + write;
+            t.total += k.traffic;
+            t.read += read;
+            t.write += write;
+            // Traffic is proportional to 1/cpi, and cpi is linear in
+            // latency.
+            if constexpr (Slope)
+                t.slope += -k.traffic * k.stallPerNs / cpi;
         }
-        double rho = std::min(t.total / capEff, rhoMax);
+        const double rho = std::min(t.total / capEff, rhoMax);
         t.implied = mem.idleLatencyNs *
                     (1.0 + mem.queueFactor * rho / (1.0 - rho));
         return t;
     }
+
+    /** Keep trial @p t, the latest evaluated, with its per-task values. */
+    void
+    keep(const Trial &t)
+    {
+        kept = t;
+        for (TaskTerms &k : terms) {
+            k.keptIps = k.ips;
+            k.keptTraffic = k.traffic;
+        }
+    }
+
+    /**
+     * Write each task's rate and traffic at @p latency_ns, and their
+     * totals, into @p out; returns the total demand. The kept trial
+     * supplies them when it was made at exactly this latency; otherwise
+     * the map is evaluated here.
+     */
+    GBps
+    fill(double latency_ns, WindowPerf &out)
+    {
+        if (latency_ns != kept.latency)
+            keep(at<false>(latency_ns));
+        out.ips.reserve(tasks.size());
+        out.taskTraffic.reserve(tasks.size());
+        for (const TaskTerms &k : terms) {
+            out.ips.push_back(k.keptIps);
+            out.taskTraffic.push_back(k.keptTraffic);
+        }
+        out.totalRead = kept.read;
+        out.totalWrite = kept.write;
+        return kept.total;
+    }
+
+    const std::vector<CoreTask> &tasks;
+    GHz freq;
+    double fHz; ///< freq * 1e9
+    GBps capEff;
+    const MemSystemPerf &mem;
+    std::span<TaskTerms> terms;
+    /// The kept trial (latency NaN until one is kept).
+    Trial kept{std::numeric_limits<double>::quiet_NaN()};
 };
 
 GBps
@@ -153,22 +259,28 @@ proposeLatency(const QueueingMap &map, const Trial &t)
  * whatever the bracket leaves open.
  */
 void
-narrowBracket(const QueueingMap &map, Trial t, double &below,
-              double &above, int &evaluations)
+narrowBracket(QueueingMap &map, Trial t, double &below, double &above,
+              int &evaluations)
 {
     constexpr double inf = std::numeric_limits<double>::infinity();
-    for (int step = 0; step < 64 && std::nextafter(below, inf) < above;
+    for (int step = 0; step < 64 && nextToward(below, inf) < above;
          ++step) {
         double x = proposeLatency(map, t);
         if (x >= above)
-            x = std::nextafter(above, 0.0);
+            x = nextToward(above, 0.0);
         else if (x <= below && t.latency == below)
-            x = std::nextafter(below, inf);
+            x = nextToward(below, inf);
         if (!(below < x && x < above))
             x = 0.5 * (below + above);
-        t = map.at(x);
+        t = map.at<true>(x);
         ++evaluations;
-        (t.below() ? below : above) = x;
+        if (t.below()) {
+            below = x;
+        } else {
+            // The fill's candidate: the replay most often ends here.
+            above = x;
+            map.keep(t);
+        }
     }
 }
 
@@ -218,8 +330,10 @@ double
 impliedLatency(const std::vector<CoreTask> &tasks, GHz freq, GHz fmax,
                GBps cap, const MemSystemPerf &mem, double latency_ns)
 {
-    return QueueingMap{tasks, freq, fmax, effectiveCap(cap, mem), mem}
-        .at(latency_ns)
+    TermStore store;
+    return QueueingMap(tasks, freq, fmax, effectiveCap(cap, mem), mem,
+                       store.take(tasks.size()))
+        .at<false>(latency_ns)
         .implied;
 }
 
@@ -260,9 +374,11 @@ solvePerfWindow(const std::vector<CoreTask> &tasks, GHz freq, GHz fmax,
     // exceeds the cap, rho -> 1 and delivery approaches the cap from
     // below, with memory-bound tasks absorbing the queueing latency while
     // compute-bound tasks keep their rate.
-    const QueueingMap map{tasks, freq, fmax, cap_eff, mem};
+    TermStore store;
+    QueueingMap map(tasks, freq, fmax, cap_eff, mem,
+                    store.take(tasks.size()));
     const double l0 = mem.idleLatencyNs;
-    const Trial first = map.at(l0);
+    const Trial first = map.at<true>(l0);
     out.evaluations = 1;
 
     // Certified bracket: the predicate holds at every point <= below and
@@ -282,7 +398,7 @@ solvePerfWindow(const std::vector<CoreTask> &tasks, GHz freq, GHz fmax,
         if (latency >= above)
             return false;
         ++out.evaluations;
-        return map.at(latency).below();
+        return map.at<false>(latency).below();
     };
 
     // The reference bisection, replayed: same bracket growth, same 60
@@ -291,7 +407,7 @@ solvePerfWindow(const std::vector<CoreTask> &tasks, GHz freq, GHz fmax,
     // the bisection is sure to settle on adjacent doubles within its
     // remaining steps, those are below and above, every later midpoint
     // rounds onto one of them, and it ends at above.
-    const bool closed = std::nextafter(below, above) == above;
+    const bool closed = nextToward(below, above) == above;
     double lo = l0;
     double hi = std::max(l0 * 2.0, first.implied);
     while (holds(hi) && hi < l0 * 1e7)
@@ -309,9 +425,7 @@ solvePerfWindow(const std::vector<CoreTask> &tasks, GHz freq, GHz fmax,
         }
     }
     out.latencyNs = hi;
-    out.ips.reserve(tasks.size());
-    out.taskTraffic.reserve(tasks.size());
-    out.saturated = map.at(hi, &out).total / cap_eff > 0.85;
+    out.saturated = map.fill(hi, out) / cap_eff > 0.85;
 }
 
 } // namespace memtherm

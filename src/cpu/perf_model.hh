@@ -41,6 +41,26 @@
  *     and the remaining steps are enough to close them onto the
  *     bracket's two adjacent doubles, its result is known to be the
  *     upper one, and the replay stops there.
+ *   - Per-window constants. The terms of a task's demand that do not
+ *     depend on the latency (mpki / 1000, 1 - mlpOverlap, f * 1e9,
+ *     1 + specFrac * (f / fmax) and the stall per ns) are computed once
+ *     per window, each by the same operation on the same operands as
+ *     the reference's subexpression, so they have the same bits.
+ *     Everything left keeps the reference's order:
+ *     (ips * mpki) / 1000 and the two / bytesPerGB stay divisions, since
+ *     a multiply by a rounded reciprocal, or a reordered product, would
+ *     round differently.
+ *   - The demand slope feeds only the model steps, so only the
+ *     narrowing trials compute it; the replay and the fill never read
+ *     it.
+ *   - Reused fill. The result's per-task rates and traffic are the map
+ *     evaluated at the returned latency. When that latency is the
+ *     bracket's upper end and the end is a narrowing trial (every
+ *     solved window of the Chapter 4 and 5 grids), that trial already
+ *     computed them, through the same code at the same latency, so it
+ *     supplies them bit for bit; otherwise (zero demand, an open
+ *     bracket, a replay that ends elsewhere) the fill is evaluated. The
+ *     fill is never counted in WindowPerf::evaluations.
  *
  * Monotonicity, and with it exactness, holds for physical inputs:
  * non-negative mpki, writeFrac, specFrac, queueFactor and lineBytes,

@@ -501,6 +501,46 @@ TEST(PerfModelExactness, EdgeCasesMatchReferenceBitForBit)
                             "cap_eff at " + std::to_string(f) + " GHz");
 }
 
+TEST(PerfModelExactness, FallbackFillsMatchReferenceBitForBit)
+{
+    // The fill reuses the last narrowing trial when the replay ends on
+    // it. These windows must evaluate the fill instead, and their
+    // evaluation counts show the path each takes.
+    const MemSystemPerf mem;
+
+    // Zero demand: the first trial is not below the root, so there is
+    // no narrowing trial at all.
+    CoreTask idle = computeTask();
+    idle.mpki = 0.0;
+    SolveCase zero{{idle}, 3.2, 3.2, kInf, mem};
+    EXPECT_EQ(solvePerfWindow(zero.tasks, 3.2, 3.2, kInf, mem).evaluations,
+              1);
+    expectMatchesOracle(zero, "fallback fill: zero demand");
+
+    // Unclosed bracket: a queue factor so extreme that the first
+    // bracket [L0, implied(L0)] runs from 105 to about 3e305, and the
+    // 64 narrowing steps leave it open (1 + 64 evaluations).
+    MemSystemPerf steep = mem;
+    steep.queueFactor = 1e306;
+    SolveCase unclosed{{computeTask()}, 3.2, 3.2, kInf, steep};
+    EXPECT_EQ(
+        solvePerfWindow(unclosed.tasks, 3.2, 3.2, kInf, steep).evaluations,
+        65);
+    expectMatchesOracle(unclosed, "fallback fill: unclosed bracket");
+
+    // The same on a wide channel: the bracket stays open around a root
+    // near 4e282, and the replay evaluates its midpoints (every
+    // evaluation past the 65 the narrowing can make).
+    MemSystemPerf wide = steep;
+    wide.queueFactor = 1e304;
+    wide.peakBandwidth = 1e6;
+    SolveCase midpoints{{streamTask()}, 3.2, 3.2, kInf, wide};
+    EXPECT_GT(solvePerfWindow(midpoints.tasks, 3.2, 3.2, kInf, wide)
+                  .evaluations,
+              65);
+    expectMatchesOracle(midpoints, "fallback fill: replay midpoints");
+}
+
 TEST(PerfModelExactness, RootsAtPowersOfTwoMatchReference)
 {
     // The replay's early exit reasons about binades, and a root on a

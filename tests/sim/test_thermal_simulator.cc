@@ -5,8 +5,18 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
+#include <functional>
+#include <string>
+#include <vector>
+
+#include "cache/miss_model.hh"
 #include "common/logging.hh"
 #include "core/sim/experiment.hh"
+#include "core/sim/scenario.hh"
+#include "testbed/platform.hh"
+#include "workloads/spec_catalog.hh"
 
 namespace memtherm
 {
@@ -163,6 +173,186 @@ TEST(ThermalSimulator, ConfigValidation)
     cfg.window = 0.02;
     cfg.dtmInterval = 0.01; // interval < window is invalid
     EXPECT_THROW(ThermalSimulator{cfg}, PanicError);
+}
+
+// --- the per-lane task-input table ----------------------------------------
+
+bool
+sameBits(double a, double b)
+{
+    return std::memcmp(&a, &b, sizeof a) == 0;
+}
+
+/** The message a call fails with ("" when it does not throw). */
+std::string
+panicText(const std::function<void()> &call)
+{
+    try {
+        call();
+    } catch (const PanicError &e) {
+        return e.what();
+    }
+    return "";
+}
+
+/**
+ * Every entry of @p table, read twice (first use, then the filled
+ * entry), memcmp-equal to the direct call it memoizes.
+ */
+void
+expectTableExact(TaskInputTable &table, const Workload &mix, int cores,
+                 Seconds slice, const std::string &what)
+{
+    for (const AppDescriptor *app : mix.apps) {
+        const std::size_t row = table.row(app);
+        for (int pass = 0; pass < 2; ++pass) {
+            for (int s = 1; s <= cores; ++s) {
+                EXPECT_TRUE(sameBits(table.mpkiAt(row, s),
+                                     mpkiAtSharers(app->cache, s)))
+                    << what << ": " << app->name << " sharers " << s;
+            }
+            EXPECT_TRUE(sameBits(
+                table.switchCost(row),
+                switchMpki(app->refillLines, app->nominalGips, slice)))
+                << what << ": " << app->name << " slice " << slice;
+        }
+    }
+}
+
+TEST(TaskInputTable, EveryCatalogAppMatchesDirectCalls)
+{
+    Workload all;
+    all.name = "catalog";
+    for (const AppDescriptor &app : SpecCatalog::instance().all())
+        all.apps.push_back(&app);
+    ASSERT_GE(all.apps.size(), 12u);
+    for (Seconds slice : {0.001, 0.01, 0.1, 1.0}) {
+        TaskInputTable table(all, 8, slice);
+        expectTableExact(table, all, 8, slice,
+                         "slice " + std::to_string(slice));
+    }
+}
+
+TEST(TaskInputTable, LaneTablesMatchOnCh4AndCh5Configs)
+{
+    // Chapter 4: one L2 shared by all cores. Chapter 5: one L2 per
+    // two-core socket (sharers 1..2), a 100 ms slice.
+    SimConfig ch4 = makeCh4Config(coolingAohs15(), false);
+    SimConfig ch5 = sr1500al().sim;
+    ASSERT_FALSE(ch4.perSocketL2);
+    ASSERT_TRUE(ch5.perSocketL2);
+    for (const SimConfig *cfg : {&ch4, &ch5}) {
+        for (const char *mix_name : {"W1", "W6", "W11"}) {
+            const Workload mix = workloadMix(mix_name);
+            ThermalBatchState state(1, cfg->org.nDimmsPerChannel, 0);
+            ThermalSimulator::Lane lane(*cfg, mix, state, 0);
+            expectTableExact(lane.inputs, mix, cfg->nCores,
+                             cfg->rotationSlice, mix_name);
+            // A forked lane carries the filled table.
+            ThermalBatchState fork_state(1, cfg->org.nDimmsPerChannel, 0);
+            ThermalSimulator::Lane fork(lane, fork_state, 0);
+            expectTableExact(fork.inputs, mix, cfg->nCores,
+                             cfg->rotationSlice,
+                             std::string(mix_name) + " fork");
+        }
+    }
+}
+
+/** W1 with one app replaced by @p bad (a modified copy of it). */
+Workload
+mixWith(const AppDescriptor &bad)
+{
+    Workload w = workloadMix("W1");
+    w.name = "W1-bad";
+    w.apps[1] = &bad;
+    return w;
+}
+
+/** A short Chapter 4 run in which DTM-ACG gates cores: it time-shares. */
+SimConfig
+timeSharingConfig()
+{
+    SimConfig cfg = makeCh4Config(coolingAohs15(), false);
+    cfg.copiesPerApp = 8;
+    return cfg;
+}
+
+TEST(TaskInputTable, BadMissCurvePanicsWithTheDirectCallsMessage)
+{
+    AppDescriptor bad = *workloadMix("W1").apps[1];
+    bad.cache.mpkiSolo = 0.0;
+    const std::string want =
+        panicText([&] { mpkiAtSharers(bad.cache, 4.0); });
+    ASSERT_FALSE(want.empty());
+    ThermalSimulator sim(timeSharingConfig());
+    auto policy = makeCh4Policy("No-limit");
+    EXPECT_EQ(panicText([&] { sim.run(mixWith(bad), *policy); }), want);
+}
+
+TEST(TaskInputTable, BadNominalGipsPanicsOnlyWhenTimeSharing)
+{
+    AppDescriptor bad = *workloadMix("W1").apps[1];
+    bad.nominalGips = 0.0;
+    const std::string want =
+        panicText([&] { switchMpki(bad.refillLines, 0.0, 0.1); });
+    ASSERT_FALSE(want.empty());
+    ThermalSimulator sim(timeSharingConfig());
+    // No-limit never gates a core, so the refill cost is never needed.
+    auto no_limit = makeCh4Policy("No-limit");
+    EXPECT_TRUE(sim.run(mixWith(bad), *no_limit).completed);
+    auto acg = makeCh4Policy("DTM-ACG");
+    EXPECT_EQ(panicText([&] { sim.run(mixWith(bad), *acg); }), want);
+}
+
+// --- bit pin of the window loop ------------------------------------------
+
+std::uint64_t
+fnv1a(const std::string &bytes, std::uint64_t h)
+{
+    for (unsigned char c : bytes) {
+        h ^= c;
+        h *= 0x100000001b3ULL;
+    }
+    return h;
+}
+
+TEST(ThermalSimulator, WindowLoopBitsArePinned)
+{
+    // The goldens compare at 1e-9, so a hot-path change that moves bits
+    // can still pass them. This pins the exact bytes of the full result
+    // documents, traces included, of a small grid: Chapter 4 W1-W2 under
+    // the five Chapter 4 policies, a DTM-ACG run that time-shares (the
+    // switchMpki path), and a Chapter 5 per-socket-L2 run. A deliberate
+    // change of results updates the constant (the failure prints the new
+    // one). The bytes also depend on the libm's pow, sin and exp; the
+    // constant is from glibc on x86-64.
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    auto add = [&](const SimResult &r) {
+        h = fnv1a(toJson(r, true).dump(), h);
+    };
+
+    SimConfig ch4 = makeCh4Config(coolingAohs15(), false);
+    ch4.copiesPerApp = 1;
+    ThermalSimulator sim4(ch4);
+    for (const char *mix : {"W1", "W2"}) {
+        for (const char *name :
+             {"No-limit", "DTM-TS", "DTM-BW", "DTM-ACG", "DTM-CDVFS"}) {
+            auto policy = makeCh4Policy(name);
+            add(sim4.run(workloadMix(mix), *policy));
+        }
+    }
+
+    ThermalSimulator shared(timeSharingConfig());
+    auto acg = makeCh4Policy("DTM-ACG");
+    add(shared.run(workloadMix("W1"), *acg));
+
+    Platform p = sr1500al();
+    p.sim.copiesPerApp = 1;
+    ThermalSimulator sim5(p.sim);
+    auto acg5 = makeCh5Policy(p, "DTM-ACG");
+    add(sim5.run(workloadMix("W11"), *acg5));
+
+    EXPECT_EQ(h, 0x3e93ca5faabeb16aULL) << std::hex << "0x" << h;
 }
 
 } // namespace
