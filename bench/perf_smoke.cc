@@ -197,8 +197,8 @@ main()
                 cores_used);
 
     // Batched pass: the policy-sweep grid, scalar vs. `--batch`-style
-    // lockstep execution, both on one engine thread so the ratio is a
-    // pure per-core measure of what prefix sharing + the SoA solve buy.
+    // shared-prefix execution, both on one engine thread so the ratio is
+    // a pure per-core measure of what prefix sharing buys.
     ScenarioSpec sweep = policySweep();
     ExperimentEngine batch_engine(1);
     auto t3 = std::chrono::steady_clock::now();

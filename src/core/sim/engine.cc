@@ -84,19 +84,11 @@ ExperimentEngine::makePolicy(const Run &r)
     return policy;
 }
 
-SimResult
-ExperimentEngine::execute(const Run &r, ThermalSimulator::Scratch &s)
-{
-    ThermalSimulator sim(r.cfg);
-    auto policy = makePolicy(r);
-    return sim.run(r.workload, *policy, s);
-}
-
 void
 ExperimentEngine::run(const std::vector<Run> &runs, RunSink &sink)
 {
-    // Every run its own class, one lane per chunk: runBatched's
-    // single-run chunks execute() and deliver exactly like a plain loop.
+    // Every run its own class, one policy per chunk: each chunk is a
+    // one-policy runBatch(), i.e. ThermalSimulator::run().
     std::vector<RunClass> singles(runs.size());
     for (std::size_t i = 0; i < runs.size(); ++i)
         singles[i] = RunClass{i, 1};
@@ -122,8 +114,8 @@ ExperimentEngine::runBatched(const std::vector<Run> &runs,
     panicIfNot(covered == runs.size(),
                "runBatched: classes do not cover every run");
 
-    // Split classes into chunks of at most batch_width lanes. A chunk is
-    // the unit of dispatch: one pool task, one ThermalBatchState.
+    // Split classes into chunks of at most batch_width runs. A chunk is
+    // the unit of dispatch: one pool task, one runBatch() call.
     struct Chunk
     {
         std::size_t first = 0;
@@ -162,32 +154,6 @@ ExperimentEngine::runBatched(const std::vector<Run> &runs,
 
     auto oneChunk = [&](const Chunk &ch, ThermalSimulator::Scratch &s) {
         const auto t0 = clock::now();
-
-        // Single-run chunk: the scalar path, no batch state to set up.
-        if (ch.count == 1) {
-            SimResult r;
-            std::exception_ptr err;
-            try {
-                r = execute(runs[ch.first], s);
-            } catch (...) {
-                err = std::current_exception();
-            }
-            const double wall_s =
-                std::chrono::duration<double>(clock::now() - t0).count();
-            // A lone run shares nothing; count its windows so the hit
-            // rate reflects the whole grid, not just batched chunks.
-            const double w =
-                err ? 0.0
-                    : r.runningTime /
-                          std::max(runs[ch.first].cfg.window, 1e-12);
-            deliver(ch.first, std::move(r), wall_s, err);
-            if (stats && w > 0.0) {
-                std::lock_guard<std::mutex> lock(sink_mtx);
-                agg.logicalWindows += w;
-                agg.simulatedWindows += w;
-            }
-            return;
-        }
 
         // Build one policy per member; a failing build (unknown name,
         // bad config) fails only that run and the rest still batch.

@@ -145,14 +145,14 @@ class ExperimentEngine
     /**
      * Batched streaming primitive: like run(runs, sink), but runs
      * within one RunClass execute through ThermalSimulator::runBatch in
-     * chunks of up to @p batch_width lanes, sharing their simulated
+     * chunks of up to @p batch_width runs, sharing their simulated
      * prefix. Results are bit-identical to run() per run — batching is
      * purely an execution strategy. @p classes must tile [0, runs.size())
      * in order, and every class's runs must share config + workload
      * (only the policy may differ); violating that is the caller's bug
      * and produces wrong results, which is why only the scenario layer
-     * constructs classes. Chunks of one run fall back to the scalar
-     * path. A failure while building one run's policy fails only that
+     * constructs classes. A chunk of one run is ThermalSimulator::run().
+     * A failure while building one run's policy fails only that
      * run; a failure inside a batched simulation fails every run of the
      * chunk (their shared state is poisoned). @p batch_width < 1 means
      * "whole class in one chunk". @p stats, when non-null, accumulates
@@ -200,7 +200,6 @@ class ExperimentEngine
     using Task = std::function<void(ThermalSimulator::Scratch &)>;
 
     void workerLoop();
-    static SimResult execute(const Run &r, ThermalSimulator::Scratch &s);
     static std::unique_ptr<DtmPolicy> makePolicy(const Run &r);
     std::vector<Run> makeSuiteRuns(const SimConfig &cfg,
                                    const std::vector<Workload> &workloads,

@@ -394,10 +394,11 @@ ScenarioResults runScenario(const ScenarioSpec &spec);
 /**
  * Execute a scenario through the engine's batched path: runs inside one
  * policy-independent equivalence class (LoweredScenario::classes) share
- * their simulated prefix, in lockstep chunks of up to @p batch_width
- * lanes (< 1 = one chunk per class). Fork construction makes every
- * batched run bit-identical to its scalar twin (pinned by gtest and by
- * the goldens at the scalar tolerance).
+ * their simulated prefix, in chunks of up to @p batch_width runs
+ * (< 1 = one chunk per class) until their DTM decisions differ. A fork
+ * is an exact copy of the run's state, so every batched run is
+ * bit-identical to its scalar twin (pinned by gtest, by the goldens at
+ * the scalar tolerance and by a byte comparison of the result files).
  * @p stats, when non-null, accumulates the grid's batch counters.
  */
 ScenarioResults runScenarioBatched(const ScenarioSpec &spec,

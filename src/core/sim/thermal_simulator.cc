@@ -93,13 +93,12 @@ ThermalSimulator::ThermalSimulator(SimConfig c) : cfg(std::move(c))
     panicIfNot(cfg.nCores >= 1, "ThermalSimulator: need >= 1 core");
 }
 
-ThermalSimulator::Lane::Lane(const SimConfig &cfg, const Workload &mix,
-                             ThermalBatchState &state, int lane_index)
+ThermalSimulator::Lane::Lane(const SimConfig &cfg, const Workload &mix)
     : batch(mix, cfg.copiesPerApp, cfg.instrScale),
       inputs(mix, cfg.nCores, cfg.rotationSlice),
       ambient(cfg.ambient),
       mem(cfg.org, cfg.cooling, DimmPowerModel{}, ambient.temperature(),
-          cfg.trafficShares, state, lane_index, cfg.bankGrid),
+          cfg.trafficShares, cfg.bankGrid),
       sensorRng(cfg.sensorSeed),
       nextRotation(cfg.rotationSlice),
       nextTrace(cfg.traceSample)
@@ -112,9 +111,9 @@ ThermalSimulator::Lane::Lane(const SimConfig &cfg, const Workload &mix,
     res.bwTrace = TimeSeries(cfg.traceSample);
 
     // Core slots; round-robin dispatch from the batch queue.
-    slot.assign(static_cast<std::size_t>(cfg.nCores), nullptr);
-    for (auto &s : slot)
-        s = batch.nextPending();
+    slot.assign(static_cast<std::size_t>(cfg.nCores), -1);
+    for (int &s : slot)
+        s = batch.indexOf(batch.nextPending());
 
     // The machine idles long enough before the run for temperatures to
     // settle (the measurement protocol of Section 5.4.1). Refresh power
@@ -134,36 +133,6 @@ ThermalSimulator::Lane::Lane(const SimConfig &cfg, const Workload &mix,
     }
 
     live = !batch.done() && t < cfg.maxSimTime;
-}
-
-ThermalSimulator::Lane::Lane(const Lane &src, ThermalBatchState &state,
-                             int lane_index)
-    : res(src.res),
-      batch(src.batch),
-      slot(src.slot),
-      inputs(src.inputs),
-      ambient(src.ambient),
-      mem(src.mem, state, lane_index),
-      sensorRng(src.sensorRng),
-      action(src.action),
-      reading(src.reading),
-      remapBurstGb(src.remapBurstGb),
-      nextDtm(src.nextDtm),
-      nextRotation(src.nextRotation),
-      nextTrace(src.nextTrace),
-      rotation(src.rotation),
-      decided(src.decided),
-      t(src.t),
-      live(src.live),
-      pendingCpuPower(src.pendingCpuPower),
-      pendingInlet(src.pendingInlet),
-      pendingRead(src.pendingRead),
-      pendingWrite(src.pendingWrite)
-{
-    // slot holds pointers into src.batch's pool; rebase them onto the
-    // copied pool (same indices — the pools are element-wise copies).
-    for (auto &s : slot)
-        s = batch.at(src.batch.indexOf(s));
 }
 
 void
@@ -215,7 +184,7 @@ ThermalSimulator::windowPre(Lane &lane, Scratch &scratch) const
     const Seconds eps = dt * 1e-6;
     const GHz fmax = cfg.dvfs.maxFreq();
 
-    std::vector<BatchJob::Instance *> &slot = lane.slot;
+    std::vector<int> &slot = lane.slot;
     std::vector<std::size_t> &occupied = scratch.occupied;
     std::vector<std::size_t> &scheduled = scratch.scheduled;
     std::vector<int> &sharers = scratch.sharers;
@@ -231,7 +200,7 @@ ThermalSimulator::windowPre(Lane &lane, Scratch &scratch) const
     }
     occupied.clear();
     for (std::size_t i = 0; i < slot.size(); ++i)
-        if (slot[i])
+        if (slot[i] >= 0)
             occupied.push_back(i);
 
     int n_active = std::clamp(lane.action.activeCores, 0,
@@ -266,7 +235,7 @@ ThermalSimulator::windowPre(Lane &lane, Scratch &scratch) const
     tasks.clear();
     task_mpki.clear();
     for (std::size_t i = 0; i < scheduled.size(); ++i) {
-        const BatchJob::Instance *inst = slot[scheduled[i]];
+        const BatchJob::Instance *inst = lane.batch.at(slot[scheduled[i]]);
         const AppDescriptor &app = *inst->app;
         const std::size_t row = lane.inputs.row(inst->app);
         double mpki = lane.inputs.mpkiAt(row, sharers[i]) *
@@ -334,7 +303,7 @@ ThermalSimulator::windowPre(Lane &lane, Scratch &scratch) const
     // --- progress + retirement ---------------------------------------
     double sum_v_ipc = 0.0;
     for (std::size_t i = 0; i < scheduled.size(); ++i) {
-        BatchJob::Instance *inst = slot[scheduled[i]];
+        BatchJob::Instance *inst = lane.batch.at(slot[scheduled[i]]);
         double instrs = perf.ips[i] * dt * progress_scale;
         inst->remainingInstr -= instrs;
         inst->cpuTime += dt;
@@ -343,7 +312,7 @@ ThermalSimulator::windowPre(Lane &lane, Scratch &scratch) const
         sum_v_ipc += dv.volts * (perf.ips[i] / (fmax * 1e9));
         if (inst->remainingInstr <= 0.0) {
             lane.batch.retire(inst);
-            slot[scheduled[i]] = lane.batch.nextPending();
+            slot[scheduled[i]] = lane.batch.indexOf(lane.batch.nextPending());
         }
     }
 
@@ -420,6 +389,7 @@ ThermalSimulator::windowPost(Lane &lane) const
 
     lane.t += dt;
     lane.live = !lane.batch.done() && lane.t < cfg.maxSimTime;
+    lane.decided = false;
 }
 
 void
@@ -449,29 +419,7 @@ SimResult
 ThermalSimulator::run(const Workload &mix, DtmPolicy &policy,
                       Scratch &scratch) const
 {
-    policy.reset();
-    reserveScratch(scratch);
-
-    ThermalBatchState state(1, cfg.org.nDimmsPerChannel,
-                            cfg.bankGrid ? cfg.bankGrid->cells() : 0);
-    Lane lane(cfg, mix, state, 0);
-    lane.res.policy = policy.name();
-
-    const Seconds eps = cfg.window * 1e-6;
-    while (lane.live) {
-        // --- DTM decision at interval boundaries -----------------------
-        lane.decided = false;
-        if (lane.t + eps >= lane.nextDtm) {
-            senseLane(lane);
-            applyDecision(lane, policy.decide(lane.reading, lane.t));
-        }
-        windowPre(lane, scratch);
-        lane.mem.commitStaged();
-        windowPost(lane);
-    }
-
-    finalizeLane(lane);
-    return std::move(lane.res);
+    return std::move(runBatch(mix, {&policy}, scratch).front());
 }
 
 std::vector<SimResult>
@@ -487,32 +435,22 @@ ThermalSimulator::runBatch(const Workload &mix,
     }
     reserveScratch(scratch);
 
-    ThermalBatchState state(static_cast<int>(n_pol),
-                            cfg.org.nDimmsPerChannel,
-                            cfg.bankGrid ? cfg.bankGrid->cells() : 0);
-
-    /// One shared trajectory: a lane plus the policies riding on it.
+    /// One trajectory: a lane plus the policies riding on it.
     struct Group
     {
         Lane lane;
         std::vector<std::size_t> members; ///< indices into `policies`
     };
-    std::vector<Group> groups;
-    // Every fork moves >= 1 member into a fresh group, so the total
-    // group count over the whole run never exceeds n_pol. Reserving
-    // that bound keeps references stable across mid-loop push_backs.
-    groups.reserve(n_pol);
-    {
-        Group g{Lane(cfg, mix, state, 0), {}};
-        g.members.resize(n_pol);
-        for (std::size_t m = 0; m < n_pol; ++m)
-            g.members[m] = m;
-        groups.push_back(std::move(g));
-    }
-    int next_lane = 1;
+    // Trajectories not yet run to their end. Every fork moves >= 1
+    // member into a new group, so at most n_pol groups exist at once.
+    std::vector<Group> work;
+    work.reserve(n_pol);
+    work.push_back(Group{Lane(cfg, mix), {}});
+    work.back().members.resize(n_pol);
+    for (std::size_t m = 0; m < n_pol; ++m)
+        work.back().members[m] = m;
 
     BatchStats local;
-    const Seconds eps = cfg.window * 1e-6;
     // Per-decision scratch: the members' actions and, per distinct
     // action, the member lists of the split. The inner bucket vectors
     // are kept across decisions (only the first uniq.size() are in use)
@@ -521,101 +459,80 @@ ThermalSimulator::runBatch(const Workload &mix,
     std::vector<std::size_t> uniq; // position of each distinct action
     std::vector<std::vector<std::size_t>> buckets;
 
-    for (;;) {
-        bool any_live = false;
-        for (const Group &g : groups)
-            any_live |= g.lane.live;
-        if (!any_live)
-            break;
-
-        // --- decide phase: sense once per group, ask every member's
-        //     policy, fork the lane where their actions diverge --------
-        const std::size_t n_at_start = groups.size();
-        for (std::size_t gi = 0; gi < n_at_start; ++gi) {
-            Group &g = groups[gi];
-            if (!g.lane.live)
-                continue;
-            g.lane.decided = false;
-            if (!(g.lane.t + eps >= g.lane.nextDtm))
-                continue;
-            // Sense BEFORE forking: the sensor draws land in the shared
-            // RNG, so every member's stream position matches the one
-            // draw its from-scratch run would have made here.
-            senseLane(g.lane);
-            actions.clear();
-            for (std::size_t m : g.members)
-                actions.push_back(
-                    policies[m]->decide(g.lane.reading, g.lane.t));
-            // Partition members by action equality, first-seen order.
-            uniq.clear();
-            for (std::size_t i = 0; i < actions.size(); ++i) {
-                std::size_t b = uniq.size();
-                for (std::size_t k = 0; k < uniq.size(); ++k) {
-                    if (actions[uniq[k]] == actions[i]) {
-                        b = k;
-                        break;
-                    }
-                }
-                if (b == uniq.size()) {
-                    uniq.push_back(i);
-                    if (buckets.size() < uniq.size())
-                        buckets.emplace_back();
-                    buckets[b].clear();
-                }
-                buckets[b].push_back(g.members[i]);
-            }
-            // Forked groups clone the PRE-decision lane (g.lane is not
-            // mutated until after every clone is taken), then each gets
-            // its own action applied — exactly what its members' from-
-            // scratch runs would have computed at this window.
-            for (std::size_t b = 1; b < uniq.size(); ++b) {
-                panicIfNot(next_lane < static_cast<int>(n_pol),
-                           "runBatch: lane budget exceeded");
-                groups.push_back(
-                    Group{Lane(g.lane, state, next_lane), {}});
-                ++next_lane;
-                groups.back().members = std::move(buckets[b]);
-                applyDecision(groups.back().lane, actions[uniq[b]]);
-                ++local.forks;
-            }
-            applyDecision(g.lane, actions[uniq[0]]);
-            // Swap, not move: the old member list's capacity returns to
-            // the bucket for the next decision.
-            g.members.swap(buckets[0]);
+    // Sense once, ask every member's policy, and fork the lane where
+    // their actions diverge. Sense BEFORE forking: the sensor draws land
+    // in the shared RNG, so every member's stream position matches the
+    // one draw its from-scratch run would have made here.
+    auto decide = [&](Group &g) {
+        Lane &lane = g.lane;
+        senseLane(lane);
+        if (g.members.size() == 1) {
+            applyDecision(lane, policies[g.members[0]]->decide(lane.reading,
+                                                               lane.t));
+            return;
         }
-        // Groups appended above already carry this window's decision
-        // (decided = true, nextDtm advanced) and take the window step
-        // with everyone else below.
+        actions.clear();
+        for (std::size_t m : g.members)
+            actions.push_back(policies[m]->decide(lane.reading, lane.t));
+        // Partition members by action equality, first-seen order.
+        uniq.clear();
+        for (std::size_t i = 0; i < actions.size(); ++i) {
+            std::size_t b = uniq.size();
+            for (std::size_t k = 0; k < uniq.size(); ++k) {
+                if (actions[uniq[k]] == actions[i]) {
+                    b = k;
+                    break;
+                }
+            }
+            if (b == uniq.size()) {
+                uniq.push_back(i);
+                if (buckets.size() < uniq.size())
+                    buckets.emplace_back();
+                buckets[b].clear();
+            }
+            buckets[b].push_back(g.members[i]);
+        }
+        // Forks copy the PRE-decision lane (lane is not mutated until
+        // every copy is taken), then each gets its own action applied —
+        // exactly what its members' from-scratch runs would have
+        // computed here. They take this window's step when popped.
+        for (std::size_t b = 1; b < uniq.size(); ++b) {
+            panicIfNot(work.size() + 1 < n_pol,
+                       "runBatch: lane budget exceeded");
+            work.push_back(Group{lane, std::move(buckets[b])});
+            applyDecision(work.back().lane, actions[uniq[b]]);
+            ++local.forks;
+        }
+        applyDecision(lane, actions[uniq[0]]);
+        // Swap, not move: the old member list's capacity returns to the
+        // bucket for the next decision.
+        g.members.swap(buckets[0]);
+    };
 
-        // --- pre phase: schedule, solve, progress, power, stage -------
-        for (Group &g : groups)
-            if (g.lane.live)
-                windowPre(g.lane, scratch);
-
-        // --- the shared temperature sweep, lane by lane ---------------
-        for (Group &g : groups)
-            if (g.lane.live)
-                g.lane.mem.commitStaged();
-
-        // --- post phase: peaks, energy, traces, clock -----------------
-        for (Group &g : groups) {
-            if (!g.lane.live)
-                continue;
-            windowPost(g.lane);
+    std::vector<SimResult> out(n_pol);
+    const Seconds eps = cfg.window * 1e-6;
+    while (!work.empty()) {
+        Group g = std::move(work.back());
+        work.pop_back();
+        Lane &lane = g.lane;
+        while (lane.live) {
+            // A fork arrives with this window's decision applied.
+            if (!lane.decided && lane.t + eps >= lane.nextDtm)
+                decide(g);
+            windowPre(lane, scratch);
+            lane.mem.commitStaged();
+            windowPost(lane);
             local.simulatedWindows += 1.0;
             local.logicalWindows += static_cast<double>(g.members.size());
         }
-    }
 
-    std::vector<SimResult> out(n_pol);
-    for (Group &g : groups) {
-        finalizeLane(g.lane);
+        finalizeLane(lane);
         for (std::size_t k = 0; k < g.members.size(); ++k) {
             const std::size_t m = g.members[k];
             if (k + 1 == g.members.size())
-                out[m] = std::move(g.lane.res);
+                out[m] = std::move(lane.res);
             else
-                out[m] = g.lane.res;
+                out[m] = lane.res;
             out[m].policy = policies[m]->name();
         }
     }

@@ -11,16 +11,16 @@
  * interval. Batch-job scheduling (N copies of each application, round-
  * robin core assignment, Section 4.3.2) lives here too.
  *
- * Two execution shapes share the same window arithmetic:
- *  - run(): one (workload, policy) experiment, a K=1 view over a private
- *    ThermalBatchState; bit-identical to the historical scalar loop.
- *  - runBatch(): one workload under K policies in lockstep. All K runs
- *    share the simulated prefix until the first DTM decision where their
- *    policies' actions differ; at that window the shared lane is forked
- *    (an exact state snapshot: thermal lane, ambient node, batch-job
- *    progress, sensor RNG position), so every run stays bit-identical to
- *    a from-scratch scalar run. Policies that never diverge (common on
- *    cool operating points) share the entire simulation.
+ * There is one window loop, runBatch(): one workload under K policies.
+ * A trajectory (a Lane plus the policies riding on it) runs window by
+ * window to its end. At a DTM decision where its policies' actions
+ * differ, the lane is forked: each extra action gets a copy of the
+ * pre-decision lane (an exact snapshot: thermal state, ambient node,
+ * batch-job progress, sensor RNG position) with that action applied,
+ * which waits on a worklist and continues from the same window later.
+ * Every run therefore stays bit-identical to a from-scratch run of its
+ * policy alone, and policies that never diverge (common on cool
+ * operating points) share the entire simulation. run() is the K=1 call.
  */
 
 #ifndef MEMTHERM_CORE_SIM_THERMAL_SIMULATOR_HH
@@ -126,7 +126,7 @@ class ThermalSimulator
      *  - a Scratch must not be shared by two concurrent run() calls.
      *    The ExperimentEngine keeps one per worker thread.
      *
-     * Per-run state (core job slots, thermal lanes, RNG, the task-input
+     * Per-run state (core job slots, thermal state, RNG, the task-input
      * memo) lives in Lane, not here, so lanes can be forked without
      * touching the scratch and a Scratch reused across configs never
      * serves one run's inputs to another.
@@ -150,29 +150,23 @@ class ThermalSimulator
     /**
      * The complete mutable state of one in-flight run: everything a
      * window-step reads or writes that belongs to the run rather than to
-     * the shared scratch. The batched path snapshots a run by copy-
-     * constructing a Lane onto a fresh thermal-state lane (the fork
-     * constructor), which is an exact double-copy — a forked lane
-     * continues bit-identically to the lane it forked from.
+     * the shared scratch. It holds no pointer into itself (the job slots
+     * are pool indices), so its implicit copy is an exact double-copy:
+     * a forked lane continues bit-identically to the lane it was copied
+     * from.
      */
     struct Lane
     {
-        /** Fresh run at t = 0 on lane @p lane_index of @p state. */
-        Lane(const SimConfig &cfg, const Workload &mix,
-             ThermalBatchState &state, int lane_index);
-
-        /** Fork: exact snapshot of @p src continuing on @p lane_index. */
-        Lane(const Lane &src, ThermalBatchState &state, int lane_index);
-
-        Lane(Lane &&) = default;
-        Lane &operator=(Lane &&) = default;
+        /** Fresh run at t = 0. */
+        Lane(const SimConfig &cfg, const Workload &mix);
 
         SimResult res;
         BatchJob batch;
-        std::vector<BatchJob::Instance *> slot; ///< per-core job slots
+        /// Per-core job slots: batch pool indices, -1 for an idle core.
+        std::vector<int> slot;
         TaskInputTable inputs;                   ///< level-1 input memo
         AmbientModel ambient;
-        MemoryThermalModel mem; ///< view over one state lane
+        MemoryThermalModel mem;
         Rng sensorRng;
         DtmAction action;
         ThermalReading reading;
@@ -183,11 +177,13 @@ class ThermalSimulator
         Seconds nextRotation = 0.0;
         Seconds nextTrace = 0.0;
         std::size_t rotation = 0;
-        bool decided = false; ///< a DTM decision landed this window
+        /// A DTM decision landed in the window in progress (cleared by
+        /// windowPost()).
+        bool decided = false;
         Seconds t = 0.0;
         bool live = true; ///< batch unfinished and t < maxSimTime
         // Window-step intermediates carried from the pre phase (through
-        // the shared temperature sweep) into the post phase.
+        // the temperature sweep) into the post phase.
         Watts pendingCpuPower = 0.0;
         Celsius pendingInlet = 0.0;
         GBps pendingRead = 0.0;
@@ -202,7 +198,8 @@ class ThermalSimulator
      */
     SimResult run(const Workload &mix, DtmPolicy &policy) const;
 
-    /** As run() above, but reusing caller-owned working memory. */
+    /** As run() above, but reusing caller-owned working memory: the
+     *  one-policy runBatch(). */
     SimResult run(const Workload &mix, DtmPolicy &policy,
                   Scratch &scratch) const;
 
@@ -211,8 +208,9 @@ class ThermalSimulator
      * reset() first), sharing the simulated prefix between runs whose
      * policies have made identical decisions so far. Returns one
      * SimResult per policy, in order; each is bit-identical to what
-     * run(mix, *policies[i]) returns. @p stats, when non-null, is
-     * overwritten with this batch's counters.
+     * run(mix, *policies[i]) returns, whatever the order of
+     * @p policies. @p stats, when non-null, is overwritten with this
+     * batch's counters.
      *
      * The policies must be distinct objects (each receives its own
      * decide() stream) and there must be at least one.
@@ -233,21 +231,22 @@ class ThermalSimulator
 
     /**
      * Apply a DTM decision to a lane: store the action, actuate a remap
-     * if the action carries shares, advance the decision clock. In the
-     * batched path the same already-computed action is applied to a
-     * forked lane, which must not re-run the policy.
+     * if the action carries shares, advance the decision clock. At a
+     * fork the same already-computed action is applied to the copied
+     * lane, which must not re-run the policy.
      */
     void applyDecision(Lane &lane, const DtmAction &a) const;
 
     /**
      * The window step up to and including staging the thermal advance:
      * scheduling, level-1 solve, progress/retirement, power, ambient.
-     * Leaves the lane's thermal lane staged (stable targets written);
+     * Leaves the lane's thermal model staged (stable targets written);
      * the caller commits the temperature sweep, then calls windowPost().
      */
     void windowPre(Lane &lane, Scratch &scratch) const;
 
-    /** Finish the window: peaks/energy fold, traces, time advance. */
+    /** Finish the window: peaks/energy fold, traces, time advance;
+     *  clears lane.decided. */
     void windowPost(Lane &lane) const;
 
     /** Fill the end-of-run summary fields of lane.res. */

@@ -18,15 +18,16 @@ bankSlopesOf(const BankGridConfig &grid, int n_dimms)
                              grid.cells());
 }
 
-void
-checkOrgAndShares(const MemoryOrgConfig &org,
-                  const std::vector<double> &shares)
+/** The chain length, once the organization and shares are checked. */
+int
+checkedDimms(const MemoryOrgConfig &org, const std::vector<double> &shares)
 {
     panicIfNot(org.nChannels >= 1 && org.nDimmsPerChannel >= 1,
                "MemoryThermalModel: bad organization");
     panicIfNot(shares.empty() ||
                    static_cast<int>(shares.size()) == org.nDimmsPerChannel,
                "MemoryThermalModel: traffic share arity");
+    return org.nDimmsPerChannel;
 }
 
 } // namespace
@@ -40,99 +41,11 @@ MemoryThermalModel::MemoryThermalModel(const MemoryOrgConfig &org,
                                            bank_grid)
     : orgCfg(org), pwr(power), cool(cooling),
       shares(std::move(traffic_shares)), grid(std::move(bank_grid)),
-      ownedState(nullptr), st(nullptr), laneIdx(0)
+      st(checkedDimms(orgCfg, shares), grid ? grid->cells() : 0)
 {
-    checkOrgAndShares(orgCfg, shares);
     if (grid)
         slopes = bankSlopesOf(*grid, orgCfg.nDimmsPerChannel);
-    ownedState = std::make_unique<ThermalBatchState>(
-        1, orgCfg.nDimmsPerChannel, grid ? grid->cells() : 0);
-    st = ownedState.get();
-    st->initLane(0, cool.tauAmb, cool.tauDram, t0);
-}
-
-MemoryThermalModel::MemoryThermalModel(const MemoryOrgConfig &org,
-                                       const CoolingConfig &cooling,
-                                       const DimmPowerModel &power,
-                                       Celsius t0,
-                                       std::vector<double> traffic_shares,
-                                       ThermalBatchState &state, int lane,
-                                       std::optional<BankGridConfig>
-                                           bank_grid)
-    : orgCfg(org), pwr(power), cool(cooling),
-      shares(std::move(traffic_shares)), grid(std::move(bank_grid)),
-      ownedState(nullptr), st(&state), laneIdx(lane)
-{
-    checkOrgAndShares(orgCfg, shares);
-    if (grid)
-        slopes = bankSlopesOf(*grid, orgCfg.nDimmsPerChannel);
-    panicIfNot(state.dimms() == orgCfg.nDimmsPerChannel,
-               "MemoryThermalModel: batch state chain length mismatch");
-    panicIfNot(state.bankCells() == (grid ? grid->cells() : 0),
-               "MemoryThermalModel: batch state bank cell mismatch");
-    st->initLane(laneIdx, cool.tauAmb, cool.tauDram, t0);
-}
-
-MemoryThermalModel::MemoryThermalModel(const MemoryThermalModel &src,
-                                       ThermalBatchState &state, int lane)
-    : orgCfg(src.orgCfg), pwr(src.pwr), cool(src.cool), shares(src.shares),
-      refreshDram(src.refreshDram), grid(src.grid), slopes(src.slopes),
-      ownedState(nullptr), st(&state), laneIdx(lane)
-{
-    panicIfNot(state.dimms() == orgCfg.nDimmsPerChannel,
-               "MemoryThermalModel: batch state chain length mismatch");
-    panicIfNot(state.bankCells() == (grid ? grid->cells() : 0),
-               "MemoryThermalModel: batch state bank cell mismatch");
-    st->initLane(laneIdx, cool.tauAmb, cool.tauDram, 0.0);
-    copyLaneFrom(src);
-}
-
-MemoryThermalModel::MemoryThermalModel(const MemoryThermalModel &other)
-    : orgCfg(other.orgCfg), pwr(other.pwr), cool(other.cool),
-      shares(other.shares), refreshDram(other.refreshDram),
-      grid(other.grid), slopes(other.slopes),
-      ownedState(nullptr), st(nullptr), laneIdx(0)
-{
-    ownedState = std::make_unique<ThermalBatchState>(
-        1, orgCfg.nDimmsPerChannel, grid ? grid->cells() : 0);
-    st = ownedState.get();
-    st->initLane(0, cool.tauAmb, cool.tauDram, 0.0);
-    copyLaneFrom(other);
-}
-
-MemoryThermalModel &
-MemoryThermalModel::operator=(const MemoryThermalModel &other)
-{
-    if (this == &other)
-        return *this;
-    MemoryThermalModel copy(other);
-    *this = std::move(copy);
-    return *this;
-}
-
-void
-MemoryThermalModel::copyLaneFrom(const MemoryThermalModel &src)
-{
-    const int n = orgCfg.nDimmsPerChannel;
-    const ThermalBatchState &from = *src.st;
-    for (int i = 0; i < n; ++i) {
-        st->ambTemp(laneIdx)[i] = from.ambTemp(src.laneIdx)[i];
-        st->dramTemp(laneIdx)[i] = from.dramTemp(src.laneIdx)[i];
-        st->peakAmb(laneIdx)[i] = from.peakAmb(src.laneIdx)[i];
-        st->peakDram(laneIdx)[i] = from.peakDram(src.laneIdx)[i];
-        st->energy(laneIdx)[i] = from.energy(src.laneIdx)[i];
-    }
-    if (grid) {
-        for (int i = 0; i < n; ++i)
-            st->bankRc(laneIdx)[i] = from.bankRc(src.laneIdx)[i];
-        const BankLine *env = from.bankEnvelope(src.laneIdx);
-        std::copy(env, env + n * st->bankCells(), st->bankEnvelope(laneIdx));
-    }
-    st->energyTime(laneIdx) = from.energyTime(src.laneIdx);
-    // The staging arrays and decay memo are per-step scratch: initLane
-    // invalidated the memo, and the next stageAdvance recomputes the
-    // decay factors from (dt, tau) — deterministically the same doubles
-    // the source lane holds, so the fork stays bit-identical.
+    st.init(cool.tauAmb, cool.tauDram, t0);
 }
 
 const std::vector<DimmPower> &
@@ -173,16 +86,16 @@ void
 MemoryThermalModel::stageAdvance(GBps total_read, GBps total_write,
                                  Celsius ambient, Seconds dt)
 {
-    st->ensureDecay(dt);
+    st.ensureDecay(dt);
     const auto &powers = channelPower(total_read, total_write);
-    double *sa = st->stableAmb(laneIdx);
-    double *sd = st->stableDram(laneIdx);
+    double *sa = st.stableAmb();
+    double *sd = st.stableDram();
     for (std::size_t i = 0; i < powers.size(); ++i) {
         sa[i] = stableAmbAt(ambient, powers[i]);
         sd[i] = stableDramAt(ambient, powers[i]);
     }
     if (grid) {
-        double *sv = st->stableBankRc(laneIdx);
+        double *sv = st.stableBankRc();
         for (std::size_t i = 0; i < powers.size(); ++i)
             sv[i] = stableBankRcAt(powers[i]);
     }
@@ -193,11 +106,11 @@ MemoryThermalModel::finishAdvance(Seconds dt)
 {
     MemoryThermalSample s;
     Watts channel_power = 0.0;
-    const double *amb = st->ambTemp(laneIdx);
-    const double *dram = st->dramTemp(laneIdx);
-    double *pa = st->peakAmb(laneIdx);
-    double *pd = st->peakDram(laneIdx);
-    double *e = st->energy(laneIdx);
+    const double *amb = st.ambTemp();
+    const double *dram = st.dramTemp();
+    double *pa = st.peakAmb();
+    double *pd = st.peakDram();
+    double *e = st.energy();
     for (std::size_t i = 0; i < powerScratch.size(); ++i) {
         s.hottestAmb = std::max(s.hottestAmb, amb[i]);
         s.hottestDram = std::max(s.hottestDram, dram[i]);
@@ -208,13 +121,13 @@ MemoryThermalModel::finishAdvance(Seconds dt)
     }
     if (grid) {
         const int cells = slopes.cells;
-        const double *v = st->bankRc(laneIdx);
-        BankLine *env = st->bankEnvelope(laneIdx);
+        const double *v = st.bankRc();
+        BankLine *env = st.bankEnvelope();
         for (std::size_t i = 0; i < powerScratch.size(); ++i)
             bankEnvelopeInsert(slopes.x.data() + i * cells, slopes.count[i],
                                env + i * cells, BankLine{dram[i], v[i]});
     }
-    st->energyTime(laneIdx) += dt;
+    st.energyTime() += dt;
     s.subsystemPower = channel_power * orgCfg.nChannels;
     return s;
 }
@@ -264,8 +177,8 @@ MemoryThermalSample
 MemoryThermalModel::current() const
 {
     MemoryThermalSample s;
-    const double *amb = st->ambTemp(laneIdx);
-    const double *dram = st->dramTemp(laneIdx);
+    const double *amb = st.ambTemp();
+    const double *dram = st.dramTemp();
     for (int i = 0; i < orgCfg.nDimmsPerChannel; ++i) {
         s.hottestAmb = std::max(s.hottestAmb, amb[i]);
         s.hottestDram = std::max(s.hottestDram, dram[i]);
@@ -278,8 +191,8 @@ MemoryThermalModel::dimmTemps() const
 {
     std::vector<DimmTemps> out;
     out.reserve(static_cast<std::size_t>(orgCfg.nDimmsPerChannel));
-    const double *amb = st->ambTemp(laneIdx);
-    const double *dram = st->dramTemp(laneIdx);
+    const double *amb = st.ambTemp();
+    const double *dram = st.dramTemp();
     for (int i = 0; i < orgCfg.nDimmsPerChannel; ++i)
         out.push_back({amb[i], dram[i]});
     return out;
@@ -293,8 +206,8 @@ MemoryThermalModel::currentPerDimm(std::vector<Celsius> &amb,
         static_cast<std::size_t>(orgCfg.nDimmsPerChannel);
     amb.resize(n);
     dram.resize(n);
-    const double *a = st->ambTemp(laneIdx);
-    const double *d = st->dramTemp(laneIdx);
+    const double *a = st.ambTemp();
+    const double *d = st.dramTemp();
     for (std::size_t i = 0; i < n; ++i) {
         amb[i] = a[i];
         dram[i] = d[i];
@@ -335,8 +248,8 @@ MemoryThermalModel::dimmPeaks() const
 {
     std::vector<DimmTemps> out;
     out.reserve(static_cast<std::size_t>(orgCfg.nDimmsPerChannel));
-    const double *pa = st->peakAmb(laneIdx);
-    const double *pd = st->peakDram(laneIdx);
+    const double *pa = st.peakAmb();
+    const double *pd = st.peakDram();
     for (int i = 0; i < orgCfg.nDimmsPerChannel; ++i)
         out.push_back({pa[i], pd[i]});
     return out;
@@ -348,7 +261,7 @@ MemoryThermalModel::bankPeaks() const
     if (!grid)
         return {};
     const int cells = slopes.cells;
-    const BankLine *env = st->bankEnvelope(laneIdx);
+    const BankLine *env = st.bankEnvelope();
     std::vector<Celsius> out(slopes.slot.size());
     for (std::size_t i = 0; i < out.size(); ++i) {
         const std::size_t base = i / cells * cells;
@@ -365,9 +278,9 @@ MemoryThermalModel::dimmAvgPower() const
     const std::size_t n =
         static_cast<std::size_t>(orgCfg.nDimmsPerChannel);
     std::vector<Watts> out(n, 0.0);
-    const Seconds elapsed = st->energyTime(laneIdx);
+    const Seconds elapsed = st.energyTime();
     if (elapsed > 0.0) {
-        const double *e = st->energy(laneIdx);
+        const double *e = st.energy();
         for (std::size_t i = 0; i < n; ++i)
             out[i] = e[i] / elapsed;
     }
@@ -378,11 +291,11 @@ void
 MemoryThermalModel::reset(Celsius t)
 {
     const int n = orgCfg.nDimmsPerChannel;
-    double *amb = st->ambTemp(laneIdx);
-    double *dram = st->dramTemp(laneIdx);
-    double *pa = st->peakAmb(laneIdx);
-    double *pd = st->peakDram(laneIdx);
-    double *e = st->energy(laneIdx);
+    double *amb = st.ambTemp();
+    double *dram = st.dramTemp();
+    double *pa = st.peakAmb();
+    double *pd = st.peakDram();
+    double *e = st.energy();
     for (int i = 0; i < n; ++i) {
         amb[i] = t;
         dram[i] = t;
@@ -392,10 +305,10 @@ MemoryThermalModel::reset(Celsius t)
     }
     if (grid) {
         for (int i = 0; i < n; ++i)
-            st->bankRc(laneIdx)[i] = 0.0;
-        st->seedBankEnvelope(laneIdx);
+            st.bankRc()[i] = 0.0;
+        st.seedBankEnvelope();
     }
-    st->energyTime(laneIdx) = 0.0;
+    st.energyTime() = 0.0;
 }
 
 void
@@ -403,11 +316,11 @@ MemoryThermalModel::resetToStable(GBps total_read, GBps total_write,
                                   Celsius ambient)
 {
     const auto &powers = channelPower(total_read, total_write);
-    double *amb = st->ambTemp(laneIdx);
-    double *dram = st->dramTemp(laneIdx);
-    double *pa = st->peakAmb(laneIdx);
-    double *pd = st->peakDram(laneIdx);
-    double *e = st->energy(laneIdx);
+    double *amb = st.ambTemp();
+    double *dram = st.dramTemp();
+    double *pa = st.peakAmb();
+    double *pd = st.peakDram();
+    double *e = st.energy();
     for (std::size_t i = 0; i < powers.size(); ++i) {
         amb[i] = stableAmbAt(ambient, powers[i]);
         dram[i] = stableDramAt(ambient, powers[i]);
@@ -416,12 +329,12 @@ MemoryThermalModel::resetToStable(GBps total_read, GBps total_write,
         e[i] = 0.0;
     }
     if (grid) {
-        double *v = st->bankRc(laneIdx);
+        double *v = st.bankRc();
         for (std::size_t i = 0; i < powers.size(); ++i)
             v[i] = stableBankRcAt(powers[i]);
-        st->seedBankEnvelope(laneIdx);
+        st.seedBankEnvelope();
     }
-    st->energyTime(laneIdx) = 0.0;
+    st.energyTime() = 0.0;
 }
 
 } // namespace memtherm

@@ -11,19 +11,16 @@
  * accounting.
  *
  * The mutable thermal state (temperatures, peaks, energy accumulators)
- * lives in a ThermalBatchState — structure-of-arrays, one lane per run.
- * A model either owns a private single-lane state (the scalar path and
- * every historical constructor) or is a *view* over one lane of a
- * caller-owned multi-lane state (the batched simulator), selected by
- * constructor. Both modes run the same arithmetic in the same order, so
- * an owning model is bit-identical to the former array-of-objects
- * layout and a view lane is bit-identical to an owning model.
+ * lives in the model's own ThermalBatchState, a structure-of-arrays
+ * that runs the same arithmetic in the same order as the former
+ * array-of-objects layout. Copying a model is an exact, independent
+ * snapshot of that state; the shared-prefix batched simulator forks a
+ * run by copying its model.
  */
 
 #ifndef MEMTHERM_CORE_THERMAL_MEMORY_THERMAL_HH
 #define MEMTHERM_CORE_THERMAL_MEMORY_THERMAL_HH
 
-#include <memory>
 #include <optional>
 #include <vector>
 
@@ -71,8 +68,6 @@ class MemoryThermalModel
 {
   public:
     /**
-     * Owning mode: the model allocates a private single-lane state.
-     *
      * @param org     channel/DIMM organization
      * @param cooling Table 3.2 column
      * @param power   per-DIMM power models
@@ -94,41 +89,14 @@ class MemoryThermalModel
                        std::optional<BankGridConfig> bank_grid =
                            std::nullopt);
 
-    /**
-     * View mode: the model's thermal state is lane @p lane of the
-     * caller-owned @p state (whose dimms() must match the organization's
-     * chain length, and whose bankCells() must match the bank grid's
-     * cells — 0 when @p bank_grid is std::nullopt). The lane is
-     * (re)initialized to @p t0. The state must outlive the model; two
-     * models must not view one lane.
-     */
-    MemoryThermalModel(const MemoryOrgConfig &org,
-                       const CoolingConfig &cooling,
-                       const DimmPowerModel &power, Celsius t0,
-                       std::vector<double> traffic_shares,
-                       ThermalBatchState &state, int lane,
-                       std::optional<BankGridConfig> bank_grid =
-                           std::nullopt);
-
-    /**
-     * Fork: a view over lane @p lane of @p state that copies @p src's
-     * configuration, traffic shares and *current lane contents* exactly
-     * (the shared-prefix snapshot restore). The new lane continues
-     * bit-identically to @p src.
-     */
-    MemoryThermalModel(const MemoryThermalModel &src,
-                       ThermalBatchState &state, int lane);
-
-    /** Deep copy: the copy owns a private single-lane snapshot of
-     *  @p other's current lane, whatever mode @p other is in. */
-    MemoryThermalModel(const MemoryThermalModel &other);
-    MemoryThermalModel &operator=(const MemoryThermalModel &other);
+    MemoryThermalModel(const MemoryThermalModel &) = default;
+    MemoryThermalModel &operator=(const MemoryThermalModel &) = default;
     MemoryThermalModel(MemoryThermalModel &&) = default;
     MemoryThermalModel &operator=(MemoryThermalModel &&) = default;
 
     /**
      * Advance all DIMM nodes by dt: stageAdvance() + commitStaged() +
-     * finishAdvance() in one call (the scalar path).
+     * finishAdvance() in one call.
      *
      * @param total_read   system-wide read throughput (GB/s)
      * @param total_write  system-wide write throughput (GB/s)
@@ -140,17 +108,17 @@ class MemoryThermalModel
 
     /**
      * Phase 1 of a split advance: evaluate the power model and write
-     * each DIMM's stable-target temperatures into the lane's staging
-     * arrays (and refresh the batch decay memo for @p dt). The batched
-     * simulator stages every lane, sweeps the temperatures, then
-     * finishes every lane; no other power query may run on this model
-     * between stage and finish (they share the power scratch).
+     * each DIMM's stable-target temperatures into the staging arrays
+     * (and refresh the decay memo for @p dt). The simulator stages,
+     * steps its ambient node, then commits and finishes; no other power
+     * query may run on this model between stage and finish (they share
+     * the power scratch).
      */
     void stageAdvance(GBps total_read, GBps total_write, Celsius ambient,
                       Seconds dt);
 
-    /** Phase 2: the vectorizable temperature sweep over this lane. */
-    void commitStaged() { st->advanceLane(laneIdx); }
+    /** Phase 2: the temperature sweep toward the staged targets. */
+    void commitStaged() { st.advance(); }
 
     /** Phase 3: fold peaks and energy; returns the step's sample. */
     MemoryThermalSample finishAdvance(Seconds dt);
@@ -217,7 +185,7 @@ class MemoryThermalModel
     /**
      * Per-DIMM peak temperatures since the last reset (index 0 nearest
      * the memory controller). advance() folds every step into the
-     * lane's peak arrays, so the hot loop never materializes a
+     * state's peak arrays, so the hot loop never materializes a
      * temperature vector; only this accessor does. Resets restart the
      * peaks from the reset temperatures.
      */
@@ -227,7 +195,7 @@ class MemoryThermalModel
      * Per-bank-cell peak DRAM temperatures since the last reset:
      * nDimmsPerChannel * bankGrid()->cells() entries, row-major by DIMM
      * (DIMM 0's cells first). Empty when the model is lumped. Every
-     * step inserts one line per DIMM into the lane's peak envelope;
+     * step inserts one line per DIMM into the state's peak envelope;
      * this accessor answers one envelope query per cell.
      */
     std::vector<Celsius> bankPeaks() const;
@@ -239,7 +207,7 @@ class MemoryThermalModel
      * Per-DIMM mean power on the representative channel since the last
      * reset (energy folded in by advance(), divided by the elapsed
      * time; all zeros before any advance). Like the peaks, the energy
-     * accumulators are lane state the hot loop updates in place — only
+     * accumulators are state the hot loop updates in place — only
      * this accessor materializes a vector.
      */
     std::vector<Watts> dimmAvgPower() const;
@@ -260,8 +228,6 @@ class MemoryThermalModel
     const CoolingConfig &cooling() const { return cool; }
     /** Per-DIMM traffic shares; empty means uniform interleave. */
     const std::vector<double> &trafficShares() const { return shares; }
-    /** The lane this model's state occupies (0 in owning mode). */
-    int lane() const { return laneIdx; }
 
   private:
     /** Eq. 3.3: stable AMB temperature for a given operating point. */
@@ -297,11 +263,6 @@ class MemoryThermalModel
     const std::vector<DimmPower> &channelPower(GBps total_read,
                                                GBps total_write) const;
 
-    /** Exact element-wise copy of @p src's lane into this model's lane
-     *  (works across states; invalidates the decay memo via initLane's
-     *  caller having set matching taus). */
-    void copyLaneFrom(const MemoryThermalModel &src);
-
     MemoryOrgConfig orgCfg;
     DimmPowerModel pwr;
     CoolingConfig cool;
@@ -317,9 +278,7 @@ class MemoryThermalModel
     /// derived once — weights are constant over a run. Empty when lumped.
     BankSlopes slopes;
 
-    std::unique_ptr<ThermalBatchState> ownedState; ///< owning mode only
-    ThermalBatchState *st; ///< owned or caller-owned batch state
-    int laneIdx;           ///< this model's lane in *st
+    ThermalBatchState st; ///< temperatures, peaks, energy, overlay
 
     /// Scratch for channelPower(): per-DIMM traffic and power, reused
     /// across steps (mutable: const queries share the scratch).

@@ -8,14 +8,12 @@
 namespace memtherm
 {
 
-ThermalBatchState::ThermalBatchState(int lanes, int dimms, int bank_cells)
-    : nLanes(lanes), nDimms(dimms), nBankCells(bank_cells)
+ThermalBatchState::ThermalBatchState(int dimms, int bank_cells)
+    : nDimms(dimms), nBankCells(bank_cells)
 {
-    panicIfNot(lanes >= 1, "ThermalBatchState: need >= 1 lane");
     panicIfNot(dimms >= 1, "ThermalBatchState: need >= 1 DIMM per lane");
     panicIfNot(bank_cells >= 0, "ThermalBatchState: negative bank cells");
-    const std::size_t n =
-        static_cast<std::size_t>(lanes) * static_cast<std::size_t>(dimms);
+    const std::size_t n = static_cast<std::size_t>(dimms);
     ambV.assign(n, 0.0);
     dramV.assign(n, 0.0);
     stableAmbV.assign(n, 0.0);
@@ -29,64 +27,36 @@ ThermalBatchState::ThermalBatchState(int lanes, int dimms, int bank_cells)
         bankEnvV.assign(n * static_cast<std::size_t>(bank_cells),
                         BankLine{});
     }
-    energyTimeV.assign(static_cast<std::size_t>(lanes), 0.0);
-    tauAmbV.assign(static_cast<std::size_t>(lanes), 1.0);
-    tauDramV.assign(static_cast<std::size_t>(lanes), 1.0);
-    decayAmbV.assign(static_cast<std::size_t>(lanes), 0.0);
-    decayDramV.assign(static_cast<std::size_t>(lanes), 0.0);
-}
-
-int
-ThermalBatchState::checked(int lane) const
-{
-    panicIfNot(lane >= 0 && lane < nLanes,
-               "ThermalBatchState: lane out of range");
-    return lane;
 }
 
 void
-ThermalBatchState::initLane(int lane, Seconds tau_amb, Seconds tau_dram,
-                            Celsius t0)
+ThermalBatchState::init(Seconds tau_amb, Seconds tau_dram, Celsius t0)
 {
     panicIfNot(tau_amb > 0.0 && tau_dram > 0.0,
                "ThermalBatchState: time constants must be > 0");
-    const int l = checked(lane);
-    tauAmbV[l] = tau_amb;
-    tauDramV[l] = tau_dram;
-    cachedDt = -1.0; // memo covers the whole batch; recompute on next step
-    double *amb = ambTemp(l);
-    double *dram = dramTemp(l);
-    double *pa = peakAmb(l);
-    double *pd = peakDram(l);
-    double *e = energy(l);
-    for (int i = 0; i < nDimms; ++i) {
-        amb[i] = t0;
-        dram[i] = t0;
-        pa[i] = t0;
-        pd[i] = t0;
-        e[i] = 0.0;
-    }
-    if (nBankCells > 0) {
-        for (int i = 0; i < nDimms; ++i) {
-            bankRc(l)[i] = 0.0;
-            stableBankRc(l)[i] = 0.0;
-        }
-        seedBankEnvelope(l);
-    }
-    energyTimeV[l] = 0.0;
+    tauAmb = tau_amb;
+    tauDram = tau_dram;
+    cachedDt = -1.0; // recompute the decay factors on the next step
+    std::fill(ambV.begin(), ambV.end(), t0);
+    std::fill(dramV.begin(), dramV.end(), t0);
+    std::fill(peakAmbV.begin(), peakAmbV.end(), t0);
+    std::fill(peakDramV.begin(), peakDramV.end(), t0);
+    std::fill(energyV.begin(), energyV.end(), 0.0);
+    std::fill(bankRcV.begin(), bankRcV.end(), 0.0);
+    std::fill(stableBankRcV.begin(), stableBankRcV.end(), 0.0);
+    seedBankEnvelope();
+    energyTimeV = 0.0;
 }
 
 void
-ThermalBatchState::seedBankEnvelope(int lane)
+ThermalBatchState::seedBankEnvelope()
 {
     if (nBankCells == 0)
         return;
-    const double *dram = dramTemp(lane);
-    const double *v = bankRc(lane);
-    BankLine *env = bankEnvelope(lane);
     for (int i = 0; i < nDimms; ++i)
-        std::fill(env + i * nBankCells, env + (i + 1) * nBankCells,
-                  BankLine{dram[i], v[i]});
+        std::fill(bankEnvV.begin() + i * nBankCells,
+                  bankEnvV.begin() + (i + 1) * nBankCells,
+                  BankLine{dramV[i], bankRcV[i]});
 }
 
 void
@@ -96,24 +66,21 @@ ThermalBatchState::ensureDecay(Seconds dt)
     if (dt == cachedDt)
         return;
     cachedDt = dt;
-    // Same arithmetic as RcNode::advance, one evaluation per lane per
-    // distinct dt instead of one memo per node.
-    for (int l = 0; l < nLanes; ++l) {
-        decayAmbV[l] = 1.0 - std::exp(-dt / tauAmbV[l]);
-        decayDramV[l] = 1.0 - std::exp(-dt / tauDramV[l]);
-    }
+    // Same arithmetic as RcNode::advance, one evaluation per distinct dt
+    // instead of one memo per node.
+    decayAmbV = 1.0 - std::exp(-dt / tauAmb);
+    decayDramV = 1.0 - std::exp(-dt / tauDram);
 }
 
 void
-ThermalBatchState::advanceLane(int lane)
+ThermalBatchState::advance()
 {
-    const int l = checked(lane);
-    const double da = decayAmbV[l];
-    const double dd = decayDramV[l];
-    double *amb = ambTemp(l);
-    double *dram = dramTemp(l);
-    const double *sa = stableAmb(l);
-    const double *sd = stableDram(l);
+    const double da = decayAmbV;
+    const double dd = decayDramV;
+    double *amb = ambV.data();
+    double *dram = dramV.data();
+    const double *sa = stableAmbV.data();
+    const double *sd = stableDramV.data();
     for (int i = 0; i < nDimms; ++i)
         amb[i] += (sa[i] - amb[i]) * da;
     for (int i = 0; i < nDimms; ++i)
@@ -122,42 +89,11 @@ ThermalBatchState::advanceLane(int lane)
     // Eq. 3.5 step), so their offsets from the DRAM node all decay with
     // the one scalar V.
     if (nBankCells > 0) {
-        double *v = bankRc(l);
-        const double *sv = stableBankRc(l);
+        double *v = bankRcV.data();
+        const double *sv = stableBankRcV.data();
         for (int i = 0; i < nDimms; ++i)
             v[i] += (sv[i] - v[i]) * dd;
     }
-}
-
-void
-ThermalBatchState::copyLane(int dst, int src)
-{
-    const int d = checked(dst);
-    const int s = checked(src);
-    if (d == s)
-        return;
-    for (int i = 0; i < nDimms; ++i) {
-        ambTemp(d)[i] = ambTemp(s)[i];
-        dramTemp(d)[i] = dramTemp(s)[i];
-        stableAmb(d)[i] = stableAmb(s)[i];
-        stableDram(d)[i] = stableDram(s)[i];
-        peakAmb(d)[i] = peakAmb(s)[i];
-        peakDram(d)[i] = peakDram(s)[i];
-        energy(d)[i] = energy(s)[i];
-    }
-    if (nBankCells > 0) {
-        for (int i = 0; i < nDimms; ++i) {
-            bankRc(d)[i] = bankRc(s)[i];
-            stableBankRc(d)[i] = stableBankRc(s)[i];
-        }
-        std::copy(bankEnvelope(s), bankEnvelope(s) + nDimms * nBankCells,
-                  bankEnvelope(d));
-    }
-    energyTimeV[d] = energyTimeV[s];
-    tauAmbV[d] = tauAmbV[s];
-    tauDramV[d] = tauDramV[s];
-    decayAmbV[d] = decayAmbV[s];
-    decayDramV[d] = decayDramV[s];
 }
 
 } // namespace memtherm

@@ -1,35 +1,28 @@
 /**
  * @file
- * Structure-of-arrays thermal state for K concurrent simulation lanes.
+ * Structure-of-arrays thermal state of one run's representative channel.
  *
- * The RC network of one run is tiny (two nodes per DIMM) and identical
- * in structure across every run of a grid, so the mutable per-node
- * state — temperatures, staged stable targets, per-DIMM peaks and
- * energy accumulators — lives here as contiguous per-field arrays
- * instead of arrays of node objects. A "lane" is one run's slice: field
- * arrays are lane-major (`lane * dimms() + dimm`), so one lane's DIMM
- * sweep is a tight loop over adjacent doubles and adjacent lanes are
- * adjacent in memory, which is what lets the batched simulator advance
- * K runs per window in vectorizable loops.
+ * The RC network of one run is tiny (two nodes per DIMM), so the
+ * mutable per-node state — temperatures, staged stable targets,
+ * per-DIMM peaks and energy accumulators — lives here as contiguous
+ * per-field arrays instead of arrays of node objects: one DIMM sweep is
+ * a tight loop over adjacent doubles. Each MemoryThermalModel owns one
+ * state, and copying the model copies it exactly; that copy is the
+ * snapshot the shared-prefix batched simulator forks with.
  *
- * The `1 - exp(-dt / tau)` decay factors are hoisted to one per-batch
- * memo (recomputed only when dt changes) instead of the per-node
- * `cachedDt` memos the object layout used; the arithmetic applied to
- * each temperature is unchanged, so a K=1 lane is bit-identical to the
- * former per-object path.
+ * The `1 - exp(-dt / tau)` decay factors are memoized (recomputed only
+ * when dt changes) instead of the per-node `cachedDt` memos the object
+ * layout used; the arithmetic applied to each temperature is unchanged,
+ * so the state is bit-identical to the former per-object path.
  *
- * Advancing is split in three so a batch runner can interleave lanes:
+ * Advancing is split in three so a caller can fold its own outputs:
  *  1. stage: the caller writes each DIMM's stable-target temperatures
- *     into stableAmb()/stableDram() (and calls ensureDecay(dt) once);
- *  2. advanceLane(): temps += (stable - temp) * decay, the vectorizable
- *     sweep;
+ *     into stableAmb()/stableDram() (and calls ensureDecay(dt));
+ *  2. advance(): temps += (stable - temp) * decay, the sweep;
  *  3. the caller folds peaks/energy from the updated temperatures.
  *
- * copyLane() is an exact double-copy of every mutable per-lane field —
- * the snapshot/fork primitive of the shared-prefix batched engine.
- *
- * With a bank grid (core/thermal/bank_grid.hh) a lane also carries the
- * affine overlay, not one node per cell: one RC scalar V per DIMM
+ * With a bank grid (core/thermal/bank_grid.hh) the state also carries
+ * the affine overlay, not one node per cell: one RC scalar V per DIMM
  * (stepped with the DRAM decay, so T_c = T_dram + (w_c - 1) * V) plus
  * a per-DIMM peak envelope of bankCells() lines. The per-window work is
  * one step per DIMM here and one O(log cells) envelope insert per DIMM
@@ -49,163 +42,130 @@ namespace memtherm
 {
 
 /**
- * Contiguous per-field thermal state of up to `lanes()` concurrent runs.
+ * Contiguous per-field thermal state of one run's DIMM chain.
  */
 class ThermalBatchState
 {
   public:
     /**
-     * @param lanes number of concurrent runs the state can hold (>= 1)
-     * @param dimms DIMMs per lane's representative channel (>= 1)
+     * @param dimms DIMMs of the representative channel (>= 1)
      * @param bank_cells bank-grid cells per DIMM, the envelope capacity;
      *        0 (the default, and the lumped thermal model) allocates no
      *        bank arrays
      *
-     * Every temperature starts at 0; callers initialize each lane they
-     * use (initLane()) before advancing it.
+     * Every temperature starts at 0; callers initialize the state
+     * (init()) before advancing it.
      */
-    ThermalBatchState(int lanes, int dimms, int bank_cells = 0);
+    explicit ThermalBatchState(int dimms, int bank_cells = 0);
 
-    int lanes() const { return nLanes; }
     int dimms() const { return nDimms; }
     int bankCells() const { return nBankCells; }
 
     /**
-     * Set a lane's RC time constants and reset its temperatures, peaks
-     * and energy accumulators to @p t0. Changing a lane's taus
-     * invalidates the decay memo for the whole batch (the memo is
-     * per-batch by design), so lanes are configured before the window
-     * loop starts, never inside it.
+     * Set the RC time constants and reset every temperature, peak and
+     * energy accumulator to @p t0 (the bank overlay to V = 0).
+     * Invalidates the decay memo.
      */
-    void initLane(int lane, Seconds tau_amb, Seconds tau_dram, Celsius t0);
+    void init(Seconds tau_amb, Seconds tau_dram, Celsius t0);
 
-    /// @name Per-lane field slices, each dimms() doubles long.
+    /// @name Per-field arrays, each dimms() doubles long.
     /// @{
-    double *ambTemp(int lane) { return at(ambV, lane); }
-    const double *ambTemp(int lane) const { return at(ambV, lane); }
-    double *dramTemp(int lane) { return at(dramV, lane); }
-    const double *dramTemp(int lane) const { return at(dramV, lane); }
-    double *stableAmb(int lane) { return at(stableAmbV, lane); }
-    double *stableDram(int lane) { return at(stableDramV, lane); }
-    double *peakAmb(int lane) { return at(peakAmbV, lane); }
-    const double *peakAmb(int lane) const { return at(peakAmbV, lane); }
-    double *peakDram(int lane) { return at(peakDramV, lane); }
-    const double *peakDram(int lane) const { return at(peakDramV, lane); }
-    double *energy(int lane) { return at(energyV, lane); }
-    const double *energy(int lane) const { return at(energyV, lane); }
+    double *ambTemp() { return ambV.data(); }
+    const double *ambTemp() const { return ambV.data(); }
+    double *dramTemp() { return dramV.data(); }
+    const double *dramTemp() const { return dramV.data(); }
+    double *stableAmb() { return stableAmbV.data(); }
+    const double *stableAmb() const { return stableAmbV.data(); }
+    double *stableDram() { return stableDramV.data(); }
+    const double *stableDram() const { return stableDramV.data(); }
+    double *peakAmb() { return peakAmbV.data(); }
+    const double *peakAmb() const { return peakAmbV.data(); }
+    double *peakDram() { return peakDramV.data(); }
+    const double *peakDram() const { return peakDramV.data(); }
+    double *energy() { return energyV.data(); }
+    const double *energy() const { return energyV.data(); }
     /// @}
 
-    /// @name Per-lane bank-overlay slices. bankRc() and stableBankRc()
-    /// are dimms() doubles long; bankEnvelope() is dimms() * bankCells()
+    /// @name Bank-overlay arrays. bankRc() and stableBankRc() are
+    /// dimms() doubles long; bankEnvelope() is dimms() * bankCells()
     /// lines, DIMM d's Li Chao tree at offset d * bankCells(). All are
-    /// empty (nullptr-backed) when bankCells() is 0 — the lumped model
-    /// never touches them. V shares the DRAM node's tau, so
-    /// advanceLane() steps it with decayDram, and copyLane() copies the
-    /// overlay exactly like every other mutable field.
+    /// nullptr when bankCells() is 0 — the lumped model never touches
+    /// them. V shares the DRAM node's tau, so advance() steps it with
+    /// decayDram().
     /// @{
-    double *bankRc(int lane) { return bankAt(bankRcV, lane); }
-    const double *bankRc(int lane) const { return bankAt(bankRcV, lane); }
-    double *stableBankRc(int lane) { return bankAt(stableBankRcV, lane); }
-    BankLine *bankEnvelope(int lane) { return envAt(bankEnvV, lane); }
-    const BankLine *bankEnvelope(int lane) const
-    {
-        return envAt(bankEnvV, lane);
-    }
+    double *bankRc() { return orNull(bankRcV); }
+    const double *bankRc() const { return orNull(bankRcV); }
+    double *stableBankRc() { return orNull(stableBankRcV); }
+    const double *stableBankRc() const { return orNull(stableBankRcV); }
+    BankLine *bankEnvelope() { return orNull(bankEnvV); }
+    const BankLine *bankEnvelope() const { return orNull(bankEnvV); }
     /// @}
 
     /**
-     * Restart a lane's bank peaks: fill every node of DIMM d's envelope
-     * with the line (dramTemp[d], bankRc[d]), the lane's current state.
-     * No-op without a bank grid.
+     * Restart the bank peaks: fill every node of DIMM d's envelope with
+     * the line (dramTemp[d], bankRc[d]), the current state. No-op
+     * without a bank grid.
      */
-    void seedBankEnvelope(int lane);
+    void seedBankEnvelope();
 
-    /** Time a lane's energy accumulators have integrated over. */
-    Seconds &energyTime(int lane) { return energyTimeV[checked(lane)]; }
-    Seconds energyTime(int lane) const { return energyTimeV[checked(lane)]; }
+    /** Time the energy accumulators have integrated over. */
+    Seconds &energyTime() { return energyTimeV; }
+    Seconds energyTime() const { return energyTimeV; }
 
     /**
-     * Refresh the per-batch decay memo for a step of @p dt. The exp()
-     * per tau is evaluated only when dt differs from the previous call —
-     * the constant-window simulator pays for it once per batch, not
-     * once per node or per lane.
+     * Refresh the decay memo for a step of @p dt. The exp() per tau is
+     * evaluated only when dt differs from the previous call — the
+     * constant-window simulator pays for it once per run, not once per
+     * node or per window.
      */
     void ensureDecay(Seconds dt);
 
     /** Decay factor 1 - exp(-dt / tauAmb) of the last ensureDecay(). */
-    double decayAmb(int lane) const { return decayAmbV[checked(lane)]; }
+    double decayAmb() const { return decayAmbV; }
     /** Decay factor 1 - exp(-dt / tauDram) of the last ensureDecay(). */
-    double decayDram(int lane) const { return decayDramV[checked(lane)]; }
+    double decayDram() const { return decayDramV; }
 
     /**
-     * Advance one lane's temperatures toward the staged stable targets
-     * using the memoized decay factors: the Eq. 3.5 step
+     * Advance the temperatures toward the staged stable targets using
+     * the memoized decay factors: the Eq. 3.5 step
      * `T += (T_stable - T) * (1 - exp(-dt / tau))` for every node, as
-     * two tight sweeps over the lane's contiguous AMB and DRAM arrays.
+     * two tight sweeps over the contiguous AMB and DRAM arrays.
      * ensureDecay() must have been called for the intended dt.
      */
-    void advanceLane(int lane);
-
-    /**
-     * Exact copy of every mutable per-lane field (temperatures, staged
-     * targets, peaks, bank overlay and envelope, energy, energy time,
-     * taus and decay factors) from
-     * lane @p src to lane @p dst — the snapshot/fork primitive. A forked
-     * lane continues bit-identically to a run that had computed the
-     * prefix itself.
-     */
-    void copyLane(int dst, int src);
+    void advance();
 
   private:
-    double *at(std::vector<double> &v, int lane)
+    template <class T>
+    static T *orNull(std::vector<T> &v)
     {
-        return v.data() + static_cast<std::size_t>(checked(lane)) * nDimms;
+        return v.empty() ? nullptr : v.data();
     }
-    const double *at(const std::vector<double> &v, int lane) const
+    template <class T>
+    static const T *orNull(const std::vector<T> &v)
     {
-        return v.data() + static_cast<std::size_t>(checked(lane)) * nDimms;
+        return v.empty() ? nullptr : v.data();
     }
-    double *bankAt(std::vector<double> &v, int lane)
-    {
-        return nBankCells ? at(v, lane) : nullptr;
-    }
-    const double *bankAt(const std::vector<double> &v, int lane) const
-    {
-        return nBankCells ? at(v, lane) : nullptr;
-    }
-    BankLine *envAt(std::vector<BankLine> &v, int lane)
-    {
-        return v.data() + static_cast<std::size_t>(checked(lane)) * nDimms *
-                              nBankCells;
-    }
-    const BankLine *envAt(const std::vector<BankLine> &v, int lane) const
-    {
-        return v.data() + static_cast<std::size_t>(checked(lane)) * nDimms *
-                              nBankCells;
-    }
-    int checked(int lane) const;
 
-    int nLanes;
     int nDimms;
     int nBankCells;
 
-    std::vector<double> ambV;        ///< AMB temperatures, lane-major
-    std::vector<double> dramV;       ///< DRAM temperatures, lane-major
+    std::vector<double> ambV;        ///< AMB temperatures
+    std::vector<double> dramV;       ///< DRAM temperatures
     std::vector<double> stableAmbV;  ///< staged stable AMB targets
     std::vector<double> stableDramV; ///< staged stable DRAM targets
     std::vector<double> peakAmbV;    ///< per-DIMM AMB maxima since reset
     std::vector<double> peakDramV;   ///< per-DIMM DRAM maxima since reset
     std::vector<double> energyV;     ///< per-DIMM energy since reset (J)
-    std::vector<Seconds> energyTimeV;
+    Seconds energyTimeV = 0.0;
 
     std::vector<double> bankRcV;       ///< per-DIMM overlay scalar V
     std::vector<double> stableBankRcV; ///< staged V targets (P * psiDram)
     std::vector<BankLine> bankEnvV;    ///< per-DIMM peak envelopes
 
-    std::vector<Seconds> tauAmbV;  ///< per-lane AMB time constant
-    std::vector<Seconds> tauDramV; ///< per-lane DRAM time constant
-    std::vector<double> decayAmbV;
-    std::vector<double> decayDramV;
+    Seconds tauAmb = 1.0;  ///< AMB time constant
+    Seconds tauDram = 1.0; ///< DRAM time constant
+    double decayAmbV = 0.0;
+    double decayDramV = 0.0;
     Seconds cachedDt = -1.0; ///< dt of the memoized decay factors
 };
 

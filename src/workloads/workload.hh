@@ -75,10 +75,10 @@ class BatchJob
     void retire(Instance *inst);
 
     /**
-     * Stable-pool index of @p inst (-1 for nullptr). With at(), this is
-     * the clone support of the batched simulator: copying a BatchJob
-     * copies the pool by value, so a cloner rebases its per-core slot
-     * pointers via `clone.at(original.indexOf(p))`.
+     * Stable-pool index of @p inst (-1 for nullptr). The simulator's
+     * per-core slots hold these indices rather than pointers, so
+     * copying a BatchJob (which copies the pool by value) together with
+     * its slots is an exact snapshot with nothing to rebase.
      */
     int indexOf(const Instance *inst) const;
 

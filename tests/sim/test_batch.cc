@@ -1,10 +1,12 @@
 /**
  * @file
- * Tests for batched lockstep execution and shared-prefix caching: the
- * ThermalBatchState SoA container, fork-from-snapshot bit-identity for
- * every registered policy family (including mid-run remap share state
- * and the sensor-noise RNG stream position), chunked engine execution,
- * failure isolation, equivalence-class derivation, and scenario-level
+ * Tests for shared-prefix execution: the ThermalBatchState field arrays,
+ * exact copies of the thermal model and of a simulator lane (the fork
+ * primitive), fork-from-snapshot bit-identity for every registered
+ * policy family (including mid-run remap share state and the
+ * sensor-noise RNG stream position), independence from the policy
+ * order, chunked engine execution and its window counters, failure
+ * isolation, equivalence-class derivation, and scenario-level
  * batched-vs-scalar equality.
  */
 
@@ -18,6 +20,7 @@
 #include "core/sim/engine.hh"
 #include "core/sim/registry.hh"
 #include "core/sim/scenario.hh"
+#include "core/thermal/memory_thermal.hh"
 #include "core/thermal/thermal_batch.hh"
 
 namespace memtherm
@@ -84,69 +87,161 @@ expectIdentical(const SimResult &a, const SimResult &b)
     EXPECT_EQ(a.bwTrace.values(), b.bwTrace.values());
 }
 
-TEST(ThermalBatchState, InitAndLaneSlices)
+TEST(ThermalBatchState, InitSetsEveryField)
 {
-    ThermalBatchState st(3, 4);
-    EXPECT_EQ(st.lanes(), 3);
+    ThermalBatchState st(4);
     EXPECT_EQ(st.dimms(), 4);
-    st.initLane(1, 10.0, 2.0, 42.0);
+    EXPECT_EQ(st.bankCells(), 0);
+    st.init(10.0, 2.0, 42.0);
     for (int i = 0; i < 4; ++i) {
-        EXPECT_EQ(st.ambTemp(1)[i], 42.0);
-        EXPECT_EQ(st.dramTemp(1)[i], 42.0);
-        EXPECT_EQ(st.peakAmb(1)[i], 42.0);
-        EXPECT_EQ(st.peakDram(1)[i], 42.0);
-        EXPECT_EQ(st.energy(1)[i], 0.0);
+        EXPECT_EQ(st.ambTemp()[i], 42.0);
+        EXPECT_EQ(st.dramTemp()[i], 42.0);
+        EXPECT_EQ(st.peakAmb()[i], 42.0);
+        EXPECT_EQ(st.peakDram()[i], 42.0);
+        EXPECT_EQ(st.energy()[i], 0.0);
     }
-    EXPECT_EQ(st.energyTime(1), 0.0);
+    EXPECT_EQ(st.energyTime(), 0.0);
 }
 
 TEST(ThermalBatchState, AdvanceMatchesExponentialStep)
 {
-    ThermalBatchState st(1, 2);
-    st.initLane(0, 10.0, 2.0, 50.0);
-    st.stableAmb(0)[0] = 90.0;
-    st.stableAmb(0)[1] = 70.0;
-    st.stableDram(0)[0] = 80.0;
-    st.stableDram(0)[1] = 60.0;
+    ThermalBatchState st(2);
+    st.init(10.0, 2.0, 50.0);
+    st.stableAmb()[0] = 90.0;
+    st.stableAmb()[1] = 70.0;
+    st.stableDram()[0] = 80.0;
+    st.stableDram()[1] = 60.0;
     const Seconds dt = 0.5;
     st.ensureDecay(dt);
-    st.advanceLane(0);
+    st.advance();
     const double da = 1.0 - std::exp(-dt / 10.0);
     const double dd = 1.0 - std::exp(-dt / 2.0);
-    EXPECT_EQ(st.ambTemp(0)[0], 50.0 + (90.0 - 50.0) * da);
-    EXPECT_EQ(st.ambTemp(0)[1], 50.0 + (70.0 - 50.0) * da);
-    EXPECT_EQ(st.dramTemp(0)[0], 50.0 + (80.0 - 50.0) * dd);
-    EXPECT_EQ(st.dramTemp(0)[1], 50.0 + (60.0 - 50.0) * dd);
+    EXPECT_EQ(st.ambTemp()[0], 50.0 + (90.0 - 50.0) * da);
+    EXPECT_EQ(st.ambTemp()[1], 50.0 + (70.0 - 50.0) * da);
+    EXPECT_EQ(st.dramTemp()[0], 50.0 + (80.0 - 50.0) * dd);
+    EXPECT_EQ(st.dramTemp()[1], 50.0 + (60.0 - 50.0) * dd);
 }
 
-TEST(ThermalBatchState, CopyLaneIsExact)
+TEST(ThermalBatchState, CopyIsExact)
 {
-    ThermalBatchState st(2, 3);
-    st.initLane(0, 5.0, 1.0, 33.0);
-    st.initLane(1, 5.0, 1.0, 0.0);
-    st.stableAmb(0)[0] = 61.0;
-    st.stableDram(0)[2] = 71.5;
-    st.energy(0)[1] = 123.25;
-    st.energyTime(0) = 7.0;
-    st.copyLane(1, 0);
+    ThermalBatchState st(3);
+    st.init(5.0, 1.0, 33.0);
+    st.stableAmb()[0] = 61.0;
+    st.stableDram()[2] = 71.5;
+    st.energy()[1] = 123.25;
+    st.energyTime() = 7.0;
+    st.ensureDecay(0.25);
+    const ThermalBatchState copy = st;
     for (int i = 0; i < 3; ++i) {
-        EXPECT_EQ(st.ambTemp(1)[i], st.ambTemp(0)[i]);
-        EXPECT_EQ(st.dramTemp(1)[i], st.dramTemp(0)[i]);
-        EXPECT_EQ(st.peakAmb(1)[i], st.peakAmb(0)[i]);
-        EXPECT_EQ(st.peakDram(1)[i], st.peakDram(0)[i]);
-        EXPECT_EQ(st.energy(1)[i], st.energy(0)[i]);
+        EXPECT_EQ(copy.ambTemp()[i], st.ambTemp()[i]);
+        EXPECT_EQ(copy.dramTemp()[i], st.dramTemp()[i]);
+        EXPECT_EQ(copy.stableAmb()[i], st.stableAmb()[i]);
+        EXPECT_EQ(copy.stableDram()[i], st.stableDram()[i]);
+        EXPECT_EQ(copy.peakAmb()[i], st.peakAmb()[i]);
+        EXPECT_EQ(copy.peakDram()[i], st.peakDram()[i]);
+        EXPECT_EQ(copy.energy()[i], st.energy()[i]);
     }
-    EXPECT_EQ(st.energyTime(1), 7.0);
+    EXPECT_EQ(copy.energyTime(), 7.0);
+    EXPECT_EQ(copy.decayAmb(), st.decayAmb());
+    EXPECT_EQ(copy.decayDram(), st.decayDram());
+    // The copy owns its arrays.
+    EXPECT_NE(copy.ambTemp(), st.ambTemp());
 }
 
 TEST(ThermalBatchState, Panics)
 {
-    EXPECT_THROW(ThermalBatchState(0, 4), PanicError);
-    EXPECT_THROW(ThermalBatchState(1, 0), PanicError);
-    ThermalBatchState st(1, 2);
-    EXPECT_THROW(st.initLane(1, 1.0, 1.0, 0.0), PanicError);
-    EXPECT_THROW(st.initLane(0, 0.0, 1.0, 0.0), PanicError);
+    EXPECT_THROW(ThermalBatchState(0), PanicError);
+    EXPECT_THROW(ThermalBatchState(1, -1), PanicError);
+    ThermalBatchState st(2);
+    EXPECT_THROW(st.init(0.0, 1.0, 0.0), PanicError);
     EXPECT_THROW(st.ensureDecay(-1.0), PanicError);
+}
+
+/** Every per-DIMM observable of two models is equal, double for double. */
+void
+expectSameThermalState(const MemoryThermalModel &a,
+                       const MemoryThermalModel &b)
+{
+    const MemoryThermalSample ca = a.current();
+    const MemoryThermalSample cb = b.current();
+    EXPECT_EQ(ca.hottestAmb, cb.hottestAmb);
+    EXPECT_EQ(ca.hottestDram, cb.hottestDram);
+    const std::vector<DimmTemps> ta = a.dimmTemps();
+    const std::vector<DimmTemps> tb = b.dimmTemps();
+    const std::vector<DimmTemps> pa = a.dimmPeaks();
+    const std::vector<DimmTemps> pb = b.dimmPeaks();
+    ASSERT_EQ(ta.size(), tb.size());
+    ASSERT_EQ(pa.size(), pb.size());
+    for (std::size_t i = 0; i < ta.size(); ++i) {
+        EXPECT_EQ(ta[i].amb, tb[i].amb);
+        EXPECT_EQ(ta[i].dram, tb[i].dram);
+        EXPECT_EQ(pa[i].amb, pb[i].amb);
+        EXPECT_EQ(pa[i].dram, pb[i].dram);
+    }
+    EXPECT_EQ(a.dimmAvgPower(), b.dimmAvgPower());
+    EXPECT_EQ(a.bankPeaks(), b.bankPeaks());
+    EXPECT_EQ(a.trafficShares(), b.trafficShares());
+    EXPECT_EQ(a.refreshDramPower(), b.refreshDramPower());
+}
+
+/**
+ * A copied model is the fork primitive: it starts equal to the original
+ * double for double, continues bit-identically under the same inputs,
+ * and is independent of it under different ones.
+ */
+TEST(MemoryThermalModel, CopyIsExactAndIndependent)
+{
+    const SimConfig cfg = batchyConfig();
+    MemoryThermalModel model(cfg.org, cfg.cooling, DimmPowerModel{}, 40.0,
+                             cfg.trafficShares);
+    model.setRefreshDramPower({0.1, 0.2, 0.3, 0.4});
+    for (int w = 0; w < 50; ++w)
+        model.advance(4.0 + 0.1 * w, 2.0, 44.0, cfg.window);
+
+    MemoryThermalModel copy = model;
+    expectSameThermalState(model, copy);
+    for (int w = 0; w < 50; ++w) {
+        model.advance(9.0, 3.0, 45.0, cfg.window);
+        copy.advance(9.0, 3.0, 45.0, cfg.window);
+    }
+    expectSameThermalState(model, copy);
+
+    // Copy-assignment is as exact, and the two stay independent.
+    MemoryThermalModel assigned(cfg.org, cfg.cooling, DimmPowerModel{},
+                                0.0);
+    assigned = model;
+    expectSameThermalState(model, assigned);
+    const MemoryThermalSample before = copy.current();
+    model.advance(20.0, 10.0, 50.0, 1.0);
+    EXPECT_EQ(copy.current().hottestDram, before.hottestDram);
+    EXPECT_NE(model.current().hottestDram, before.hottestDram);
+}
+
+/**
+ * A copied Lane is an exact snapshot: thermal state, job slots (pool
+ * indices, so nothing needs rebasing), batch progress and RNG position.
+ */
+TEST(ThermalSimulatorLane, CopyIsExact)
+{
+    const SimConfig cfg = batchyConfig();
+    const Workload mix = workloadMix("W1");
+    ThermalSimulator::Lane lane(cfg, mix);
+    for (int w = 0; w < 20; ++w)
+        lane.mem.advance(6.0, 3.0, 45.0, cfg.window);
+    lane.batch.at(lane.slot[0])->remainingInstr = 17.0;
+    lane.sensorRng.gaussian();
+    lane.t = 0.2;
+
+    ThermalSimulator::Lane copy = lane;
+    expectSameThermalState(lane.mem, copy.mem);
+    EXPECT_EQ(copy.slot, lane.slot);
+    ASSERT_GE(lane.slot[0], 0);
+    EXPECT_EQ(copy.batch.at(copy.slot[0])->remainingInstr, 17.0);
+    EXPECT_NE(copy.batch.at(copy.slot[0]), lane.batch.at(lane.slot[0]));
+    EXPECT_EQ(copy.batch.finished(), lane.batch.finished());
+    EXPECT_EQ(copy.sensorRng.gaussian(), lane.sensorRng.gaussian());
+    EXPECT_EQ(copy.t, lane.t);
+    EXPECT_EQ(copy.live, lane.live);
 }
 
 /**
@@ -248,25 +343,43 @@ TEST(RunBatch, ForkedRunsBitIdenticalUnderRefreshCoupling)
     }
 }
 
-/** A batch of one is exactly the scalar path. */
-TEST(RunBatch, SingletonBatchMatchesScalar)
+/**
+ * Forks run in worklist order, not in policy order, so the results must
+ * not depend on it: the full lineup, reversed, gives the same result per
+ * policy, bit for bit, and the same counters.
+ */
+TEST(RunBatch, PolicyOrderDoesNotMatter)
 {
     const SimConfig cfg = batchyConfig();
     const Workload mix = workloadMix("W1");
+    const std::vector<std::string> names =
+        PolicyRegistry::instance().names();
     ThermalSimulator sim(cfg);
     ThermalSimulator::Scratch scratch;
 
-    auto p1 = PolicyRegistry::instance().make("DTM-TS", contextOf(cfg));
-    auto p2 = PolicyRegistry::instance().make("DTM-TS", contextOf(cfg));
-    std::vector<DtmPolicy *> ptrs{p1.get()};
-    BatchStats stats;
-    std::vector<SimResult> batched =
-        sim.runBatch(mix, ptrs, scratch, &stats);
-    ASSERT_EQ(batched.size(), 1u);
-    SimResult scalar = sim.run(mix, *p2, scratch);
-    expectIdentical(batched[0], scalar);
-    EXPECT_EQ(stats.forks, 0u);
-    EXPECT_EQ(stats.hitRate(), 0.0);
+    auto runInOrder = [&](const std::vector<std::string> &order,
+                          BatchStats &stats) {
+        std::vector<std::unique_ptr<DtmPolicy>> policies;
+        std::vector<DtmPolicy *> ptrs;
+        for (const auto &n : order) {
+            policies.push_back(
+                PolicyRegistry::instance().make(n, contextOf(cfg)));
+            ptrs.push_back(policies.back().get());
+        }
+        return sim.runBatch(mix, ptrs, scratch, &stats);
+    };
+
+    const std::vector<std::string> reversed(names.rbegin(), names.rend());
+    BatchStats fwd_stats, rev_stats;
+    const std::vector<SimResult> fwd = runInOrder(names, fwd_stats);
+    const std::vector<SimResult> rev = runInOrder(reversed, rev_stats);
+    ASSERT_EQ(fwd.size(), names.size());
+    ASSERT_EQ(rev.size(), names.size());
+    EXPECT_GT(fwd_stats.forks, 0u);
+    for (std::size_t i = 0; i < names.size(); ++i)
+        expectIdentical(fwd[i], rev[names.size() - 1 - i]);
+    EXPECT_EQ(fwd_stats.logicalWindows, rev_stats.logicalWindows);
+    EXPECT_EQ(fwd_stats.forks, rev_stats.forks);
 }
 
 /** Identical policies never diverge: one lane serves the whole batch. */
@@ -354,6 +467,34 @@ TEST(RunBatched, EveryChunkWidthMatchesScalarEngine)
             EXPECT_GE(stats.logicalWindows, stats.simulatedWindows);
         }
     }
+}
+
+/**
+ * Singleton classes share nothing, and their window counters are the
+ * exact integer window counts of the runs (not running time divided by
+ * the window, which lands a hair below the integer).
+ */
+TEST(RunBatched, SingletonClassesCountExactWindows)
+{
+    SimConfig cfg = makeCh4Config(coolingAohs15(), false);
+    cfg.copiesPerApp = 1;
+    std::vector<ExperimentEngine::Run> runs;
+    for (const char *w : {"W1", "W2"})
+        runs.push_back({cfg, workloadMix(w), "DTM-TS", {}});
+    const std::vector<ExperimentEngine::RunClass> classes{{0, 1}, {1, 1}};
+
+    ExperimentEngine engine(1);
+    TestSink sink(runs.size());
+    BatchStats stats;
+    engine.runBatched(runs, classes, 4, sink, &stats);
+    ASSERT_TRUE(sink.failed.empty());
+
+    double windows = 0.0;
+    for (const SimResult &r : sink.results)
+        windows += std::round(r.runningTime / cfg.window);
+    EXPECT_EQ(stats.logicalWindows, windows);
+    EXPECT_EQ(stats.simulatedWindows, windows);
+    EXPECT_EQ(stats.forks, 0u);
 }
 
 /** A bad policy fails only its own run; chunk-mates still complete. */

@@ -244,13 +244,11 @@ TEST(TaskInputTable, LaneTablesMatchOnCh4AndCh5Configs)
     for (const SimConfig *cfg : {&ch4, &ch5}) {
         for (const char *mix_name : {"W1", "W6", "W11"}) {
             const Workload mix = workloadMix(mix_name);
-            ThermalBatchState state(1, cfg->org.nDimmsPerChannel, 0);
-            ThermalSimulator::Lane lane(*cfg, mix, state, 0);
+            ThermalSimulator::Lane lane(*cfg, mix);
             expectTableExact(lane.inputs, mix, cfg->nCores,
                              cfg->rotationSlice, mix_name);
-            // A forked lane carries the filled table.
-            ThermalBatchState fork_state(1, cfg->org.nDimmsPerChannel, 0);
-            ThermalSimulator::Lane fork(lane, fork_state, 0);
+            // A forked lane (a copy) carries the filled table.
+            ThermalSimulator::Lane fork = lane;
             expectTableExact(fork.inputs, mix, cfg->nCores,
                              cfg->rotationSlice,
                              std::string(mix_name) + " fork");

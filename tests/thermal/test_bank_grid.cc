@@ -473,39 +473,40 @@ TEST(BankOverlayPrimitives, EnvelopeMatchesBruteForceMaximum)
 
 TEST(BankOverlayPrimitives, BatchStateStepsSeedsAndCopiesTheOverlay)
 {
-    ThermalBatchState st(2, 2, 3);
-    st.initLane(0, 5.0, 2.0, 40.0);
-    st.initLane(1, 5.0, 2.0, 0.0);
-    // initLane seeds every node with (t0, V = 0).
+    ThermalBatchState st(2, 3);
+    st.init(5.0, 2.0, 40.0);
+    // init seeds every node with (t0, V = 0).
     for (int i = 0; i < 6; ++i) {
-        EXPECT_EQ(st.bankEnvelope(0)[i].t, 40.0);
-        EXPECT_EQ(st.bankEnvelope(0)[i].v, 0.0);
+        EXPECT_EQ(st.bankEnvelope()[i].t, 40.0);
+        EXPECT_EQ(st.bankEnvelope()[i].v, 0.0);
     }
-    st.stableDram(0)[0] = st.stableDram(0)[1] = 40.0;
-    st.stableBankRc(0)[0] = 3.0;
-    st.stableBankRc(0)[1] = -1.5;
+    st.stableDram()[0] = st.stableDram()[1] = 40.0;
+    st.stableBankRc()[0] = 3.0;
+    st.stableBankRc()[1] = -1.5;
     st.ensureDecay(0.5);
-    st.advanceLane(0);
+    st.advance();
     const double dd = 1.0 - std::exp(-0.5 / 2.0);
-    EXPECT_EQ(st.bankRc(0)[0], 3.0 * dd);
-    EXPECT_EQ(st.bankRc(0)[1], -1.5 * dd);
+    EXPECT_EQ(st.bankRc()[0], 3.0 * dd);
+    EXPECT_EQ(st.bankRc()[1], -1.5 * dd);
     // Reseeding restarts DIMM d's envelope from (T_dram, V).
-    st.seedBankEnvelope(0);
-    EXPECT_EQ(st.bankEnvelope(0)[4].t, st.dramTemp(0)[1]);
-    EXPECT_EQ(st.bankEnvelope(0)[4].v, st.bankRc(0)[1]);
-    st.bankEnvelope(0)[2] = BankLine{41.0, 0.25};
-    st.copyLane(1, 0);
+    st.seedBankEnvelope();
+    EXPECT_EQ(st.bankEnvelope()[4].t, st.dramTemp()[1]);
+    EXPECT_EQ(st.bankEnvelope()[4].v, st.bankRc()[1]);
+    st.bankEnvelope()[2] = BankLine{41.0, 0.25};
+    const ThermalBatchState copy = st;
     for (int i = 0; i < 2; ++i) {
-        EXPECT_EQ(st.bankRc(1)[i], st.bankRc(0)[i]);
-        EXPECT_EQ(st.stableBankRc(1)[i], st.stableBankRc(0)[i]);
+        EXPECT_EQ(copy.bankRc()[i], st.bankRc()[i]);
+        EXPECT_EQ(copy.stableBankRc()[i], st.stableBankRc()[i]);
     }
     for (int i = 0; i < 6; ++i) {
-        EXPECT_EQ(st.bankEnvelope(1)[i].t, st.bankEnvelope(0)[i].t);
-        EXPECT_EQ(st.bankEnvelope(1)[i].v, st.bankEnvelope(0)[i].v);
+        EXPECT_EQ(copy.bankEnvelope()[i].t, st.bankEnvelope()[i].t);
+        EXPECT_EQ(copy.bankEnvelope()[i].v, st.bankEnvelope()[i].v);
     }
+    EXPECT_NE(copy.bankEnvelope(), st.bankEnvelope());
     // The lumped layout allocates no overlay.
-    ThermalBatchState lumped(2, 2);
-    EXPECT_EQ(lumped.bankRc(1), nullptr);
+    ThermalBatchState lumped(2);
+    EXPECT_EQ(lumped.bankRc(), nullptr);
+    EXPECT_EQ(lumped.bankEnvelope(), nullptr);
 }
 
 /**
@@ -591,13 +592,13 @@ struct OverlayCoverage
 };
 
 /**
- * Drive a MemoryThermalModel (lane 0 of a two-lane batch state) and the
- * oracle with the same seeded inputs the simulator would produce: random
- * traffic and a wandering inlet, DTM decisions every 10 windows from the
- * registered @p policy (shutdowns zero the traffic, remaps replace the
- * shares), and ddr2_2x refresh power from each DIMM's band. Halfway, a
- * fork continues on lane 1 with the same inputs; it and a deep copy must
- * end byte-identical to the original. Returns the largest relative
+ * Drive a MemoryThermalModel and the oracle with the same seeded inputs
+ * the simulator would produce: random traffic and a wandering inlet, DTM
+ * decisions every 10 windows from the registered @p policy (shutdowns
+ * zero the traffic, remaps replace the shares), and ddr2_2x refresh
+ * power from each DIMM's band. Halfway, a fork (a copy of the model)
+ * continues with the same inputs; it and a second copy must end
+ * byte-identical to the original. Returns the largest relative
  * error of the overlay peaks against the oracle.
  */
 double
@@ -619,25 +620,24 @@ overlayErrorVsOracle(const BankGridConfig &grid, const std::string &policy,
 
     Rng rng(seed);
     Celsius ambient = 45.0;
-    ThermalBatchState state(2, org.nDimmsPerChannel, grid.cells());
     MemoryThermalModel model(org, cool, DimmPowerModel{}, ambient, shares,
-                             state, 0, grid);
+                             grid);
     PerCellOracle oracle(org, cool, grid);
     model.resetToStable(0.0, 0.0, ambient);
     oracle.resetToStable(0.0, 0.0, ambient, shares);
     std::optional<MemoryThermalModel> fork;
 
-    // A fork's lane holds the original's V and envelope, double for
-    // double, from the fork on.
-    auto expectLanesEqual = [&] {
-        const int n = org.nDimmsPerChannel;
-        EXPECT_TRUE(std::equal(state.bankRc(0), state.bankRc(0) + n,
-                               state.bankRc(1)));
-        EXPECT_TRUE(std::equal(
-            state.bankEnvelope(0), state.bankEnvelope(0) + n * grid.cells(),
-            state.bankEnvelope(1), [](const BankLine &a, const BankLine &b) {
-                return a.t == b.t && a.v == b.v;
-            }));
+    // A fork holds the original's temperatures, peaks and bank
+    // envelope, double for double, from the fork on.
+    auto expectForkEqual = [&] {
+        EXPECT_EQ(fork->bankPeaks(), model.bankPeaks());
+        const std::vector<DimmTemps> ft = fork->dimmTemps();
+        const std::vector<DimmTemps> mt = model.dimmTemps();
+        ASSERT_EQ(ft.size(), mt.size());
+        for (std::size_t d = 0; d < mt.size(); ++d) {
+            EXPECT_EQ(ft[d].amb, mt[d].amb);
+            EXPECT_EQ(ft[d].dram, mt[d].dram);
+        }
     };
 
     DtmAction action;
@@ -688,11 +688,11 @@ overlayErrorVsOracle(const BankGridConfig &grid, const std::string &policy,
         if (fork)
             fork->advance(read, write, ambient, dt);
         if (win == windows / 2) {
-            fork.emplace(model, state, 1);
-            expectLanesEqual();
+            fork.emplace(model);
+            expectForkEqual();
         }
     }
-    expectLanesEqual();
+    expectForkEqual();
 
     const std::vector<Celsius> got = model.bankPeaks();
     const std::vector<Celsius> &want = oracle.peaks();

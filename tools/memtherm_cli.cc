@@ -79,9 +79,10 @@ usage(std::ostream &os, int rc)
           "                       MEMTHERM_THREADS or hardware)\n"
           "      --copies <n>     override the batch depth and drop any\n"
           "                       copies sweep (quick looks, smoke tests)\n"
-          "      --batch <k>      execute runs that differ only by policy\n"
-          "                       in lockstep batches of up to k lanes,\n"
-          "                       sharing their simulated prefix (not\n"
+          "      --batch <k>      simulate runs that differ only by\n"
+          "                       policy together, up to k at a time,\n"
+          "                       sharing their simulated prefix until\n"
+          "                       their decisions differ (not\n"
           "                       combinable with --stream)\n"
           "      --golden <file>  compare results against a reference\n"
           "                       results JSON; nonzero exit on mismatch\n"
