@@ -33,7 +33,7 @@ typeName(Json::Type t)
 
 /** Append one string with JSON escaping. */
 void
-writeString(std::string &out, const std::string &s)
+writeString(std::string &out, std::string_view s)
 {
     out += '"';
     for (unsigned char c : s) {
@@ -529,6 +529,129 @@ Json::save(const std::string &path, int indent) const
     // behind (a half-written results file would silently corrupt golden
     // comparisons downstream).
     atomicWriteFile(path, dump(indent));
+}
+
+void
+JsonBuilder::value(std::span<const double> v)
+{
+    Json a = Json::array();
+    for (double x : v)
+        a.push(x);
+    add(std::move(a));
+}
+
+void
+JsonBuilder::open(Json node)
+{
+    keys.push_back(std::move(pendingKey));
+    stack.push_back(std::move(node));
+}
+
+void
+JsonBuilder::close()
+{
+    Json node = std::move(stack.back());
+    stack.pop_back();
+    pendingKey = std::move(keys.back());
+    keys.pop_back();
+    add(std::move(node));
+}
+
+void
+JsonBuilder::add(Json v)
+{
+    if (stack.empty())
+        root = std::move(v);
+    else if (stack.back().isArray())
+        stack.back().push(std::move(v));
+    else
+        stack.back().set(pendingKey, std::move(v));
+}
+
+// The separators below are dump(0)'s: ", " between elements and ": "
+// after a key (Json::write with indent 0).
+
+void
+JsonTextWriter::separate()
+{
+    if (keyed)
+        keyed = false;
+    else if (!first)
+        out += ", ";
+    first = false;
+}
+
+void
+JsonTextWriter::beginObject()
+{
+    separate();
+    out += '{';
+    first = true;
+}
+
+void
+JsonTextWriter::endObject()
+{
+    out += '}';
+    first = false;
+}
+
+void
+JsonTextWriter::beginArray()
+{
+    separate();
+    out += '[';
+    first = true;
+}
+
+void
+JsonTextWriter::endArray()
+{
+    out += ']';
+    first = false;
+}
+
+void
+JsonTextWriter::key(std::string_view k)
+{
+    separate();
+    writeString(out, k);
+    out += ": ";
+    keyed = true;
+}
+
+void
+JsonTextWriter::value(double v)
+{
+    separate();
+    writeNumber(out, v);
+}
+
+void
+JsonTextWriter::value(bool b)
+{
+    separate();
+    out += b ? "true" : "false";
+}
+
+void
+JsonTextWriter::value(std::string_view s)
+{
+    separate();
+    writeString(out, s);
+}
+
+void
+JsonTextWriter::value(std::span<const double> v)
+{
+    separate();
+    out += '[';
+    for (std::size_t i = 0; i < v.size(); ++i) {
+        if (i)
+            out += ", ";
+        writeNumber(out, v[i]);
+    }
+    out += ']';
 }
 
 } // namespace memtherm

@@ -22,7 +22,9 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <span>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -132,6 +134,87 @@ class Json
     std::vector<Json> arr;
     Members obj;
 };
+
+/**
+ * Builds a Json tree from a sequence of writer calls. It and
+ * JsonTextWriter take the same calls, so a schema written once as a
+ * template over the writer serializes both ways (see toJson(SimResult)
+ * in core/sim/scenario.hh): the tree's dump(0) and the text writer's
+ * bytes are identical. Calls must form one well-nested value; a value
+ * inside an object must follow its key().
+ */
+class JsonBuilder
+{
+  public:
+    void beginObject() { open(Json::object()); }
+    void endObject() { close(); }
+    void beginArray() { open(Json::array()); }
+    void endArray() { close(); }
+    void key(std::string_view k) { pendingKey.assign(k); }
+    void value(double v) { add(Json(v)); }
+    void value(bool b) { add(Json(b)); }
+    void value(std::string_view s) { add(Json(std::string(s))); }
+    void value(const char *s) { add(Json(s)); }
+    /** An array of numbers. */
+    void value(std::span<const double> v);
+
+    /** The finished value (Null before any call). */
+    Json take() { return std::move(root); }
+
+  private:
+    void open(Json node);
+    void close();
+    void add(Json v);
+
+    std::vector<Json> stack;       ///< open containers, innermost last
+    std::vector<std::string> keys; ///< each open container's own key
+    std::string pendingKey;
+    Json root;
+};
+
+/**
+ * Writes compact JSON text straight into a caller-owned buffer: the
+ * bytes Json::dump(0) gives for the tree JsonBuilder would build from
+ * the same calls, without building it (no node per number). Appends to
+ * @p out; reusing one buffer across values keeps its capacity.
+ * FatalError "json: cannot serialize a non-finite number" as dump()
+ * does, leaving the buffer partly written.
+ */
+class JsonTextWriter
+{
+  public:
+    explicit JsonTextWriter(std::string &out) : out(out) {}
+
+    void beginObject();
+    void endObject();
+    void beginArray();
+    void endArray();
+    void key(std::string_view k);
+    void value(double v);
+    void value(bool b);
+    void value(std::string_view s);
+    void value(const char *s) { value(std::string_view(s)); }
+    /** An array of numbers. */
+    void value(std::span<const double> v);
+
+  private:
+    /** Write the ", " before a value unless it is the first at its
+     *  level or follows its key. */
+    void separate();
+
+    std::string &out;
+    bool first = true;  ///< nothing written yet at the current level
+    bool keyed = false; ///< a key was written; its value comes next
+};
+
+/** key() then value(), for either writer. */
+template <class Out, class V>
+void
+jsonMember(Out &out, std::string_view key, const V &v)
+{
+    out.key(key);
+    out.value(v);
+}
 
 /**
  * A JSON number read as an integer of type @p Int; FatalError

@@ -220,12 +220,18 @@ JsonlResultWriter::JsonlResultWriter(const std::string &path,
 void
 JsonlResultWriter::appendLine(const Json &record)
 {
-    std::string line = record.dump(0);
-    line += '\n';
+    std::string text = record.dump(0);
+    text += '\n';
+    writeLine(text);
+}
+
+void
+JsonlResultWriter::writeLine(const std::string &text)
+{
     // One write call for the whole line, then a flush: a crash between
     // appends leaves only intact lines, a crash mid-append leaves one
     // partial *trailing* line that scanStream() detects and drops.
-    out.write(line.data(), static_cast<std::streamsize>(line.size()));
+    out.write(text.data(), static_cast<std::streamsize>(text.size()));
     out.flush();
     if (!out)
         fatal("stream: write to '" + path + "' failed (disk full?)");
@@ -237,15 +243,24 @@ JsonlResultWriter::appendResult(std::size_t index, const std::string &point,
                                 const std::string &policy, const SimResult &r,
                                 double wall_s, bool traces)
 {
-    Json j = Json::object();
-    j.set("type", "result");
-    j.set("index", static_cast<std::uint64_t>(index));
-    j.set("point", point);
-    j.set("workload", workload);
-    j.set("policy", policy);
-    j.set("wall_s", wall_s);
-    j.set("result", toJson(r, traces));
-    appendLine(j);
+    // The record's dump(0) bytes, written as text into the reused
+    // buffer instead of built as a tree first. A result that cannot
+    // serialize (a non-finite number) throws before anything reaches
+    // the file.
+    line.clear();
+    JsonTextWriter w(line);
+    w.beginObject();
+    jsonMember(w, "type", "result");
+    jsonMember(w, "index", static_cast<double>(index));
+    jsonMember(w, "point", point);
+    jsonMember(w, "workload", workload);
+    jsonMember(w, "policy", policy);
+    jsonMember(w, "wall_s", wall_s);
+    w.key("result");
+    writeJson(w, r, traces);
+    w.endObject();
+    line += '\n';
+    writeLine(line);
 
     // Fault injection: simulate a hard crash (no unwinding, no flush of
     // anything else) once this process has persisted `faultAfter`

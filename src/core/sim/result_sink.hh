@@ -147,9 +147,15 @@ class JsonlResultWriter
 
   private:
     void appendLine(const Json &record);
+    /** Write @p text (a whole line, '\n' included) and flush. */
+    void writeLine(const std::string &text);
 
     std::string path;
     std::ofstream out;
+    /// Result-record text, reused across appends: a traced bank-grid
+    /// record runs to ~160 KB, which a fresh string would regrow (and
+    /// free) every record.
+    std::string line;
     int faultAfter = -1;     ///< MEMTHERM_FAULT_AFTER_RUN; -1 = off
     int resultsWritten = 0;  ///< result lines appended by this process
 };

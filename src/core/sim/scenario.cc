@@ -967,18 +967,6 @@ findAxis(const std::string &key)
     return nullptr;
 }
 
-Json
-traceJson(const TimeSeries &t)
-{
-    Json j = Json::object();
-    j.set("period_s", t.period());
-    Json vals = Json::array();
-    for (double v : t.values())
-        vals.push(v);
-    j.set("values", std::move(vals));
-    return j;
-}
-
 } // namespace
 
 const std::vector<std::string> &
@@ -1762,66 +1750,99 @@ runScenarioBatched(const ScenarioSpec &spec, ExperimentEngine &engine,
     return runScenarioImpl(spec, engine, batch_width, stats);
 }
 
-Json
-toJson(const SimResult &r, bool traces)
+namespace
 {
-    Json j = Json::object();
-    j.set("workload", r.workload);
-    j.set("policy", r.policy);
-    j.set("completed", r.completed);
-    j.set("running_time_s", r.runningTime);
-    j.set("total_instr", r.totalInstr);
-    j.set("read_gb", r.totalReadGB);
-    j.set("write_gb", r.totalWriteGB);
-    j.set("l2_misses", r.totalL2Misses);
-    j.set("mem_energy_j", r.memEnergy);
-    j.set("cpu_energy_j", r.cpuEnergy);
-    j.set("max_amb_c", r.maxAmb);
-    j.set("max_dram_c", r.maxDram);
-    j.set("time_above_amb_tdp_s", r.timeAboveAmbTdp);
-    j.set("time_above_dram_tdp_s", r.timeAboveDramTdp);
-    j.set("peak_amb_per_dimm_c", toJsonList(r.peakAmbPerDimm));
-    j.set("peak_dram_per_dimm_c", toJsonList(r.peakDramPerDimm));
-    j.set("avg_power_per_dimm_w", toJsonList(r.avgPowerPerDimm));
+
+template <class Out>
+void
+writeTrace(Out &o, std::string_view key, const TimeSeries &t)
+{
+    o.key(key);
+    o.beginObject();
+    jsonMember(o, "period_s", t.period());
+    jsonMember(o, "values", t.values());
+    o.endObject();
+}
+
+/**
+ * The SimResult schema, written once for both forms: @p o is a
+ * JsonBuilder (toJson's tree) or a JsonTextWriter (the stream record's
+ * text), so the two cannot drift.
+ */
+template <class Out>
+void
+writeSimResult(Out &o, const SimResult &r, bool traces)
+{
+    o.beginObject();
+    jsonMember(o, "workload", r.workload);
+    jsonMember(o, "policy", r.policy);
+    jsonMember(o, "completed", r.completed);
+    jsonMember(o, "running_time_s", r.runningTime);
+    jsonMember(o, "total_instr", r.totalInstr);
+    jsonMember(o, "read_gb", r.totalReadGB);
+    jsonMember(o, "write_gb", r.totalWriteGB);
+    jsonMember(o, "l2_misses", r.totalL2Misses);
+    jsonMember(o, "mem_energy_j", r.memEnergy);
+    jsonMember(o, "cpu_energy_j", r.cpuEnergy);
+    jsonMember(o, "max_amb_c", r.maxAmb);
+    jsonMember(o, "max_dram_c", r.maxDram);
+    jsonMember(o, "time_above_amb_tdp_s", r.timeAboveAmbTdp);
+    jsonMember(o, "time_above_dram_tdp_s", r.timeAboveDramTdp);
+    jsonMember(o, "peak_amb_per_dimm_c", r.peakAmbPerDimm);
+    jsonMember(o, "peak_dram_per_dimm_c", r.peakDramPerDimm);
+    jsonMember(o, "avg_power_per_dimm_w", r.avgPowerPerDimm);
     // Schema v2 members, present only when the run's refresh model was
     // active (the vectors are sized iff SimConfig::refresh is non-empty),
     // so every pre-refresh golden keeps its exact member set.
     if (!r.refreshBwLossPerDimm.empty()) {
-        j.set("refresh_bw_loss_per_dimm_gb",
-              toJsonList(r.refreshBwLossPerDimm));
-        j.set("refresh_energy_per_dimm_j",
-              toJsonList(r.refreshEnergyPerDimm));
+        jsonMember(o, "refresh_bw_loss_per_dimm_gb", r.refreshBwLossPerDimm);
+        jsonMember(o, "refresh_energy_per_dimm_j", r.refreshEnergyPerDimm);
     }
     // Schema v3 members, present only when the run's bank-grid thermal
     // model was active (the vector is sized iff SimConfig::bankGrid is
     // set), so every lumped-model golden keeps its exact member set.
     if (!r.peakBankDramPerDimm.empty()) {
-        Json g = Json::object();
-        g.set("x", r.bankGridX);
-        g.set("z", r.bankGridZ);
-        j.set("bank_grid", std::move(g));
+        o.key("bank_grid");
+        o.beginObject();
+        jsonMember(o, "x", static_cast<double>(r.bankGridX));
+        jsonMember(o, "z", static_cast<double>(r.bankGridZ));
+        o.endObject();
         const std::size_t cells = static_cast<std::size_t>(r.bankGridX) *
                                   static_cast<std::size_t>(r.bankGridZ);
-        Json per_dimm = Json::array();
-        for (std::size_t base = 0; base < r.peakBankDramPerDimm.size();
-             base += cells) {
-            Json row = Json::array();
-            for (std::size_t c = 0; c < cells; ++c)
-                row.push(r.peakBankDramPerDimm[base + c]);
-            per_dimm.push(std::move(row));
-        }
-        j.set("peak_bank_dram_c", std::move(per_dimm));
+        const std::span<const double> peaks(r.peakBankDramPerDimm);
+        o.key("peak_bank_dram_c");
+        o.beginArray();
+        for (std::size_t base = 0; base < peaks.size(); base += cells)
+            o.value(peaks.subspan(base, cells));
+        o.endArray();
     }
     if (traces) {
-        Json t = Json::object();
-        t.set("amb_c", traceJson(r.ambTrace));
-        t.set("dram_c", traceJson(r.dramTrace));
-        t.set("inlet_c", traceJson(r.inletTrace));
-        t.set("cpu_power_w", traceJson(r.cpuPowerTrace));
-        t.set("bw_gbps", traceJson(r.bwTrace));
-        j.set("traces", std::move(t));
+        o.key("traces");
+        o.beginObject();
+        writeTrace(o, "amb_c", r.ambTrace);
+        writeTrace(o, "dram_c", r.dramTrace);
+        writeTrace(o, "inlet_c", r.inletTrace);
+        writeTrace(o, "cpu_power_w", r.cpuPowerTrace);
+        writeTrace(o, "bw_gbps", r.bwTrace);
+        o.endObject();
     }
-    return j;
+    o.endObject();
+}
+
+} // namespace
+
+Json
+toJson(const SimResult &r, bool traces)
+{
+    JsonBuilder b;
+    writeSimResult(b, r, traces);
+    return b.take();
+}
+
+void
+writeJson(JsonTextWriter &out, const SimResult &r, bool traces)
+{
+    writeSimResult(out, r, traces);
 }
 
 Json

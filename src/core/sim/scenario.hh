@@ -439,6 +439,9 @@ int resultSchemaVersionOf(const Json &doc, const std::string &where,
  * traces (large); otherwise only scalar aggregates are emitted.
  */
 Json toJson(const SimResult &r, bool traces = false);
+/** toJson(r, traces) as text appended to @p out, without the tree; the
+ *  bytes are identical to its dump(0) (one schema serves both). */
+void writeJson(JsonTextWriter &out, const SimResult &r, bool traces = false);
 Json toJson(const SuiteResults &r, bool traces = false);
 Json toJson(const ScenarioResults &r, bool traces = false);
 

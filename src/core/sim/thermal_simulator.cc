@@ -93,12 +93,13 @@ ThermalSimulator::ThermalSimulator(SimConfig c) : cfg(std::move(c))
     panicIfNot(cfg.nCores >= 1, "ThermalSimulator: need >= 1 core");
 }
 
-ThermalSimulator::Lane::Lane(const SimConfig &cfg, const Workload &mix)
+ThermalSimulator::Lane::Lane(const SimConfig &cfg, const Workload &mix,
+                             BankSlopeMemo *slopes)
     : batch(mix, cfg.copiesPerApp, cfg.instrScale),
       inputs(mix, cfg.nCores, cfg.rotationSlice),
       ambient(cfg.ambient),
       mem(cfg.org, cfg.cooling, DimmPowerModel{}, ambient.temperature(),
-          cfg.trafficShares, cfg.bankGrid),
+          cfg.trafficShares, cfg.bankGrid, slopes),
       sensorRng(cfg.sensorSeed),
       nextRotation(cfg.rotationSlice),
       nextTrace(cfg.traceSample)
@@ -445,7 +446,7 @@ ThermalSimulator::runBatch(const Workload &mix,
     // member into a new group, so at most n_pol groups exist at once.
     std::vector<Group> work;
     work.reserve(n_pol);
-    work.push_back(Group{Lane(cfg, mix), {}});
+    work.push_back(Group{Lane(cfg, mix, &scratch.bankSlopes), {}});
     work.back().members.resize(n_pol);
     for (std::size_t m = 0; m < n_pol; ++m)
         work.back().members[m] = m;

@@ -121,10 +121,16 @@ class ThermalSimulator
      *  - the loop clears/refills each buffer every window and never reads
      *    a value left over from a previous window or a previous run, so a
      *    Scratch may be reused across runs in any order;
+     *  - the one thing kept across runs is the bank-grid slope memo,
+     *    keyed on its full inputs (the grid, weights included, and the
+     *    DIMM count, compared with ==): a run is served slopes only if
+     *    they were resolved from inputs equal to its own, so reuse in
+     *    any order still gives bit-identical results;
      *  - buffer capacity only grows (bounded by the core count), it is
      *    never released between windows;
      *  - a Scratch must not be shared by two concurrent run() calls.
-     *    The ExperimentEngine keeps one per worker thread.
+     *    The ExperimentEngine keeps one per worker thread, so a worker
+     *    resolves each distinct grid's slopes once for its life.
      *
      * Per-run state (core job slots, thermal state, RNG, the task-input
      * memo) lives in Lane, not here, so lanes can be forked without
@@ -145,6 +151,9 @@ class ThermalSimulator
         std::vector<Celsius> refreshAmb;
         std::vector<Celsius> refreshDram;
         std::vector<Watts> refreshPower;
+        /// Bank-overlay slopes of the last grid run here, shared by
+        /// every lane (and fork) built from equal inputs.
+        BankSlopeMemo bankSlopes;
     };
 
     /**
@@ -157,8 +166,10 @@ class ThermalSimulator
      */
     struct Lane
     {
-        /** Fresh run at t = 0. */
-        Lane(const SimConfig &cfg, const Workload &mix);
+        /** Fresh run at t = 0; a bank grid's slopes come from
+         *  @p slopes when given (see MemoryThermalModel). */
+        Lane(const SimConfig &cfg, const Workload &mix,
+             BankSlopeMemo *slopes = nullptr);
 
         SimResult res;
         BatchJob batch;

@@ -98,6 +98,25 @@ resolveBankSlopes(const std::vector<double> &cell_w, int n_dimms, int cells)
     return s;
 }
 
+BankSlopes
+resolveBankSlopes(const BankGridConfig &grid, int n_dimms)
+{
+    return resolveBankSlopes(resolveBankCellWeights(grid, n_dimms), n_dimms,
+                             grid.cells());
+}
+
+std::shared_ptr<const BankSlopes>
+BankSlopeMemo::get(const BankGridConfig &g, int n_dimms)
+{
+    if (!slopes || n_dimms != dimms || !(g == grid)) {
+        slopes = std::make_shared<const BankSlopes>(
+            resolveBankSlopes(g, n_dimms));
+        grid = g;
+        dimms = n_dimms;
+    }
+    return slopes;
+}
+
 void
 bankEnvelopeInsert(const double *x, int n, BankLine *nodes, BankLine line)
 {

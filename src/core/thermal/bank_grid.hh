@@ -47,6 +47,7 @@
 #ifndef MEMTHERM_CORE_THERMAL_BANK_GRID_HH
 #define MEMTHERM_CORE_THERMAL_BANK_GRID_HH
 
+#include <memory>
 #include <optional>
 #include <vector>
 
@@ -141,9 +142,10 @@ struct BankLine
 };
 
 /**
- * Query points of the overlay envelope, derived once per run from the
- * resolved cell weights: each DIMM's sorted distinct slopes w_c - 1 and
- * each cell's index into its DIMM's list.
+ * Query points of the overlay envelope, derived from the resolved cell
+ * weights: each DIMM's sorted distinct slopes w_c - 1 and each cell's
+ * index into its DIMM's list. Constant for a run, so models and their
+ * forks share one immutable copy (BankSlopeMemo).
  */
 struct BankSlopes
 {
@@ -159,6 +161,29 @@ struct BankSlopes
  */
 BankSlopes resolveBankSlopes(const std::vector<double> &cell_w, int n_dimms,
                              int cells);
+
+/** Slopes of @p grid's resolved cell weights on @p n_dimms DIMMs. */
+BankSlopes resolveBankSlopes(const BankGridConfig &grid, int n_dimms);
+
+/**
+ * The last slopes resolved, with the exact inputs they came from (the
+ * grid, weights included, and the DIMM count; both compared with ==).
+ * A simulator worker keeps one across its runs, so it resolves once
+ * per distinct grid rather than once per run, and its models share the
+ * result. Not synchronized: one owner at a time.
+ */
+class BankSlopeMemo
+{
+  public:
+    /** The slopes of (@p grid, @p n_dimms), resolved on a key miss. */
+    std::shared_ptr<const BankSlopes> get(const BankGridConfig &grid,
+                                          int n_dimms);
+
+  private:
+    BankGridConfig grid;
+    int dimms = 0;
+    std::shared_ptr<const BankSlopes> slopes; ///< null until first get()
+};
 
 /**
  * Insert @p line into a Li Chao tree over the @p n sorted points @p x:

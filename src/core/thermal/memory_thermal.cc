@@ -11,13 +11,6 @@ namespace memtherm
 namespace
 {
 
-BankSlopes
-bankSlopesOf(const BankGridConfig &grid, int n_dimms)
-{
-    return resolveBankSlopes(resolveBankCellWeights(grid, n_dimms), n_dimms,
-                             grid.cells());
-}
-
 /** The chain length, once the organization and shares are checked. */
 int
 checkedDimms(const MemoryOrgConfig &org, const std::vector<double> &shares)
@@ -37,14 +30,19 @@ MemoryThermalModel::MemoryThermalModel(const MemoryOrgConfig &org,
                                        const DimmPowerModel &power,
                                        Celsius t0,
                                        std::vector<double> traffic_shares,
-                                       std::optional<BankGridConfig>
-                                           bank_grid)
+                                       const std::optional<BankGridConfig>
+                                           &bank_grid,
+                                       BankSlopeMemo *slope_memo)
     : orgCfg(org), pwr(power), cool(cooling),
-      shares(std::move(traffic_shares)), grid(std::move(bank_grid)),
-      st(checkedDimms(orgCfg, shares), grid ? grid->cells() : 0)
+      shares(std::move(traffic_shares)),
+      st(checkedDimms(orgCfg, shares), bank_grid ? bank_grid->cells() : 0)
 {
-    if (grid)
-        slopes = bankSlopesOf(*grid, orgCfg.nDimmsPerChannel);
+    if (bank_grid) {
+        const int n = orgCfg.nDimmsPerChannel;
+        slopes = slope_memo ? slope_memo->get(*bank_grid, n)
+                            : std::make_shared<const BankSlopes>(
+                                  resolveBankSlopes(*bank_grid, n));
+    }
     st.init(cool.tauAmb, cool.tauDram, t0);
 }
 
@@ -94,7 +92,7 @@ MemoryThermalModel::stageAdvance(GBps total_read, GBps total_write,
         sa[i] = stableAmbAt(ambient, powers[i]);
         sd[i] = stableDramAt(ambient, powers[i]);
     }
-    if (grid) {
+    if (slopes) {
         double *sv = st.stableBankRc();
         for (std::size_t i = 0; i < powers.size(); ++i)
             sv[i] = stableBankRcAt(powers[i]);
@@ -119,12 +117,13 @@ MemoryThermalModel::finishAdvance(Seconds dt)
         e[i] += powerScratch[i].total() * dt;
         channel_power += powerScratch[i].total();
     }
-    if (grid) {
-        const int cells = slopes.cells;
+    if (slopes) {
+        const int cells = slopes->cells;
+        const double *x = slopes->x.data();
         const double *v = st.bankRc();
         BankLine *env = st.bankEnvelope();
         for (std::size_t i = 0; i < powerScratch.size(); ++i)
-            bankEnvelopeInsert(slopes.x.data() + i * cells, slopes.count[i],
+            bankEnvelopeInsert(x + i * cells, slopes->count[i],
                                env + i * cells, BankLine{dram[i], v[i]});
     }
     st.energyTime() += dt;
@@ -258,16 +257,16 @@ MemoryThermalModel::dimmPeaks() const
 std::vector<Celsius>
 MemoryThermalModel::bankPeaks() const
 {
-    if (!grid)
+    if (!slopes)
         return {};
-    const int cells = slopes.cells;
+    const BankSlopes &s = *slopes;
+    const int cells = s.cells;
     const BankLine *env = st.bankEnvelope();
-    std::vector<Celsius> out(slopes.slot.size());
+    std::vector<Celsius> out(s.slot.size());
     for (std::size_t i = 0; i < out.size(); ++i) {
         const std::size_t base = i / cells * cells;
-        out[i] = bankEnvelopeQuery(slopes.x.data() + base,
-                                   slopes.count[i / cells], env + base,
-                                   slopes.slot[i]);
+        out[i] = bankEnvelopeQuery(s.x.data() + base, s.count[i / cells],
+                                   env + base, s.slot[i]);
     }
     return out;
 }
@@ -303,7 +302,7 @@ MemoryThermalModel::reset(Celsius t)
         pd[i] = t;
         e[i] = 0.0;
     }
-    if (grid) {
+    if (slopes) {
         for (int i = 0; i < n; ++i)
             st.bankRc()[i] = 0.0;
         st.seedBankEnvelope();
@@ -328,7 +327,7 @@ MemoryThermalModel::resetToStable(GBps total_read, GBps total_write,
         pd[i] = dram[i];
         e[i] = 0.0;
     }
-    if (grid) {
+    if (slopes) {
         double *v = st.bankRc();
         for (std::size_t i = 0; i < powers.size(); ++i)
             v[i] = stableBankRcAt(powers[i]);

@@ -15,12 +15,14 @@
  * that runs the same arithmetic in the same order as the former
  * array-of-objects layout. Copying a model is an exact, independent
  * snapshot of that state; the shared-prefix batched simulator forks a
- * run by copying its model.
+ * run by copying its model. The bank overlay's slopes are immutable,
+ * so copies share them instead of duplicating them.
  */
 
 #ifndef MEMTHERM_CORE_THERMAL_MEMORY_THERMAL_HH
 #define MEMTHERM_CORE_THERMAL_MEMORY_THERMAL_HH
 
+#include <memory>
 #include <optional>
 #include <vector>
 
@@ -81,13 +83,19 @@ class MemoryThermalModel
      *        (core/thermal/bank_grid.hh); std::nullopt (the default)
      *        selects the paper's lumped model and allocates no bank
      *        state, keeping every pre-grid run bit-identical.
+     * @param slope_memo where the overlay's slopes come from: null (the
+     *        default) resolves them for this model alone; a memo hands
+     *        out the slopes it already holds for an equal grid and
+     *        DIMM count. Either way the slopes are identical, and the
+     *        model and its copies share them.
      */
     MemoryThermalModel(const MemoryOrgConfig &org,
                        const CoolingConfig &cooling,
                        const DimmPowerModel &power, Celsius t0,
                        std::vector<double> traffic_shares = {},
-                       std::optional<BankGridConfig> bank_grid =
-                           std::nullopt);
+                       const std::optional<BankGridConfig> &bank_grid =
+                           std::nullopt,
+                       BankSlopeMemo *slope_memo = nullptr);
 
     MemoryThermalModel(const MemoryThermalModel &) = default;
     MemoryThermalModel &operator=(const MemoryThermalModel &) = default;
@@ -193,15 +201,19 @@ class MemoryThermalModel
 
     /**
      * Per-bank-cell peak DRAM temperatures since the last reset:
-     * nDimmsPerChannel * bankGrid()->cells() entries, row-major by DIMM
+     * nDimmsPerChannel * the grid's cells() entries, row-major by DIMM
      * (DIMM 0's cells first). Empty when the model is lumped. Every
      * step inserts one line per DIMM into the state's peak envelope;
      * this accessor answers one envelope query per cell.
      */
     std::vector<Celsius> bankPeaks() const;
 
-    /** The bank-grid overlay, or std::nullopt for the lumped model. */
-    const std::optional<BankGridConfig> &bankGrid() const { return grid; }
+    /** The bank overlay's slopes (shared with every copy of this
+     *  model), or null for the lumped model. */
+    const std::shared_ptr<const BankSlopes> &bankSlopes() const
+    {
+        return slopes;
+    }
 
     /**
      * Per-DIMM mean power on the representative channel since the last
@@ -271,12 +283,14 @@ class MemoryThermalModel
     /// channelPower(); empty = no refresh feedback.
     std::vector<Watts> refreshDram;
 
-    /// Bank-grid overlay; std::nullopt = lumped model, no bank state.
-    std::optional<BankGridConfig> grid;
-    /// Envelope query points: each DIMM's distinct slopes w_c - 1 of
-    /// the smoothed, cells-scaled weights (resolveBankCellWeights),
-    /// derived once — weights are constant over a run. Empty when lumped.
-    BankSlopes slopes;
+    /// Bank-grid overlay's envelope query points: each DIMM's distinct
+    /// slopes w_c - 1 of the smoothed, cells-scaled weights
+    /// (resolveBankCellWeights). Weights are constant over a run, so
+    /// the slopes are immutable and shared: copies and forks of this
+    /// model, and every run a BankSlopeMemo served the same grid and
+    /// DIMM count, point at one instance. Null = lumped model, no bank
+    /// state.
+    std::shared_ptr<const BankSlopes> slopes;
 
     ThermalBatchState st; ///< temperatures, peaks, energy, overlay
 

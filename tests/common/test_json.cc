@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <string>
+#include <vector>
 
 #include "common/json.hh"
 #include "common/logging.hh"
@@ -153,6 +155,77 @@ TEST(Json, FileRoundTrip)
     doc.save(path);
     EXPECT_EQ(Json::load(path), doc);
     EXPECT_THROW(Json::load(path + ".does-not-exist"), FatalError);
+}
+
+/** One schema over either writer: every kind of value and nesting. */
+template <class Out>
+void
+writeSample(Out &o)
+{
+    const std::vector<double> nums = {1.0, -0.5, 1e300, 5e-324,
+                                      9007199254740992.0, -0.0};
+    const std::vector<double> none;
+    o.beginObject();
+    jsonMember(o, "s", "a\"b\\c\n\t\x01\x1f \xc3\xa9");
+    jsonMember(o, "n", 42.0);
+    jsonMember(o, "f", 0.1);
+    jsonMember(o, "t", true);
+    jsonMember(o, "no", false);
+    jsonMember(o, "nums", nums);
+    jsonMember(o, "none", none);
+    o.key("empty_obj");
+    o.beginObject();
+    o.endObject();
+    o.key("esc\"key");
+    o.beginArray();
+    o.beginArray();
+    o.endArray();
+    o.value(nums);
+    o.beginObject();
+    jsonMember(o, "x", std::string("y"));
+    o.endObject();
+    o.value(3.0);
+    o.endArray();
+    o.endObject();
+}
+
+TEST(JsonTextWriter, BytesMatchTheBuiltTreesDump)
+{
+    JsonBuilder b;
+    writeSample(b);
+    const Json tree = b.take();
+    std::string text = "prefix:";
+    JsonTextWriter w(text);
+    writeSample(w);
+    EXPECT_EQ(text, "prefix:" + tree.dump(0));
+    EXPECT_EQ(Json::parse(text.substr(7)), tree);
+
+    // A lone value and an empty array at the top level.
+    std::string one;
+    JsonTextWriter(one).value(2.5);
+    EXPECT_EQ(one, Json(2.5).dump(0));
+    std::string arr;
+    JsonTextWriter wa(arr);
+    wa.beginArray();
+    wa.endArray();
+    EXPECT_EQ(arr, Json::array().dump(0));
+}
+
+TEST(JsonTextWriter, NonFiniteNumbersFailLikeDump)
+{
+    for (double bad : {std::numeric_limits<double>::quiet_NaN(),
+                       std::numeric_limits<double>::infinity()}) {
+        std::string text;
+        JsonTextWriter w(text);
+        try {
+            w.value(bad);
+            ADD_FAILURE() << "no error for " << bad;
+        } catch (const FatalError &e) {
+            EXPECT_STREQ(e.what(),
+                         "fatal: json: cannot serialize a non-finite number");
+        }
+        EXPECT_THROW(Json(bad).dump(0), FatalError);
+    }
 }
 
 } // namespace

@@ -12,6 +12,8 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <iterator>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -681,6 +683,118 @@ TEST(ResultSchema, DocumentsStampTheMinimumVersionTheyNeed)
     const Json *v3 = doc3.find("schema_version");
     ASSERT_NE(v3, nullptr);
     EXPECT_EQ(static_cast<int>(v3->asNumber()), kResultSchemaVersion);
+}
+
+/** The record line the writer wrote before it wrote text directly:
+ *  the DOM record's dump(0) plus its newline. */
+std::string
+domRecordLine(std::size_t index, const std::string &point,
+              const std::string &workload, const std::string &policy,
+              const SimResult &r, double wall_s, bool traces)
+{
+    Json j = Json::object();
+    j.set("type", "result");
+    j.set("index", static_cast<std::uint64_t>(index));
+    j.set("point", point);
+    j.set("workload", workload);
+    j.set("policy", policy);
+    j.set("wall_s", wall_s);
+    j.set("result", toJson(r, traces));
+    return j.dump(0) + '\n';
+}
+
+std::string
+fileText(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    return std::string(std::istreambuf_iterator<char>(in),
+                       std::istreambuf_iterator<char>());
+}
+
+/** Results covering every member group of the schema. */
+std::vector<SimResult>
+schemaSamples()
+{
+    SimResult lumped; // empty vectors and traces, default zeros
+    lumped.workload = "W1";
+    lumped.policy = "DTM-TS";
+
+    SimResult v1 = lumped;
+    v1.workload = "quote\" back\\ nl\n tab\t ctl\x01 utf8 \xc3\xa9";
+    v1.completed = true;
+    v1.runningTime = 63.00999999999603;
+    v1.totalInstr = 1e15; // integral
+    v1.totalReadGB = 12.0;
+    v1.totalWriteGB = -0.0;
+    v1.memEnergy = 9007199254740992.0; // 2^53: no longer printed as int
+    v1.cpuEnergy = 0.1;
+    v1.maxAmb = 110.05;
+    v1.peakAmbPerDimm = {100.0, 99.5, 98.25, 97.0};
+    v1.peakDramPerDimm = {84.0, 83.5, 82.0, 81.125};
+    v1.avgPowerPerDimm = {5.0, 4.5, 4.0, 3.5};
+    for (double x : {1.0, 2.5, 3.0})
+        v1.ambTrace.add(x);
+    v1.dramTrace.add(85.0);
+    v1.bwTrace.add(1e-300);
+
+    SimResult v2 = v1;
+    v2.refreshBwLossPerDimm = {0.5, 0.25, 0.0, 1.0};
+    v2.refreshEnergyPerDimm = {3.0, 2.0, 1.0, 1e-9};
+
+    SimResult v3 = v2;
+    v3.bankGridX = 3;
+    v3.bankGridZ = 2;
+    for (int i = 0; i < 4 * 6; ++i)
+        v3.peakBankDramPerDimm.push_back(80.0 + i * 0.375);
+    return {lumped, v1, v2, v3};
+}
+
+TEST(ResultStream, RecordTextIsTheDomRecordsBytes)
+{
+    // appendResult writes its record as text, not as a Json tree; the
+    // bytes must be the tree's dump(0), for every member group of the
+    // schema, traces on and off.
+    const std::string path = tmpPath("record_text.jsonl");
+    JsonlResultWriter writer(path, tinySpec(), 4, ShardSpec{}, true);
+    std::size_t size = fileText(path).size();
+    std::size_t index = 0;
+    for (const SimResult &r : schemaSamples()) {
+        for (bool traces : {false, true}) {
+            const std::string point = "inlet=46 \"q\"";
+            const double wall_s = index % 2 ? 2.0 : 0.0123;
+            writer.appendResult(index, point, r.workload, r.policy, r,
+                                wall_s, traces);
+            const std::string text = fileText(path);
+            EXPECT_EQ(text.substr(size),
+                      domRecordLine(index, point, r.workload, r.policy, r,
+                                    wall_s, traces))
+                << "record " << index;
+            // The same schema, straight to text.
+            std::string direct;
+            JsonTextWriter w(direct);
+            writeJson(w, r, traces);
+            EXPECT_EQ(direct, toJson(r, traces).dump(0));
+            size = text.size();
+            ++index;
+        }
+    }
+
+    // A non-finite number fails as dump() does and leaves no partial
+    // line; the next record lands intact.
+    SimResult bad = schemaSamples().back();
+    bad.maxDram = std::numeric_limits<double>::quiet_NaN();
+    try {
+        writer.appendResult(index, "p", "w", "q", bad, 1.0, true);
+        ADD_FAILURE() << "a NaN result serialized";
+    } catch (const FatalError &e) {
+        EXPECT_STREQ(e.what(),
+                     "fatal: json: cannot serialize a non-finite number");
+    }
+    EXPECT_EQ(fileText(path).size(), size);
+    const SimResult good = schemaSamples().front();
+    writer.appendResult(index, "p", "w", "q", good, 1.0, false);
+    EXPECT_EQ(fileText(path).substr(size),
+              domRecordLine(index, "p", "w", "q", good, 1.0, false));
 }
 
 } // namespace

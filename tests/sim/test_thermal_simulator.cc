@@ -5,15 +5,19 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "cache/miss_model.hh"
 #include "common/logging.hh"
+#include "common/rng.hh"
 #include "core/sim/experiment.hh"
+#include "core/sim/registry.hh"
 #include "core/sim/scenario.hh"
 #include "testbed/platform.hh"
 #include "workloads/spec_catalog.hh"
@@ -351,6 +355,95 @@ TEST(ThermalSimulator, WindowLoopBitsArePinned)
     add(sim5.run(workloadMix("W11"), *acg5));
 
     EXPECT_EQ(h, 0x3e93ca5faabeb16aULL) << std::hex << "0x" << h;
+}
+
+/** Seeded non-uniform heat shares: @p blocks blocks of @p cells, each
+ *  summing to 1. */
+std::vector<double>
+seededBankWeights(std::uint64_t seed, int blocks, int cells)
+{
+    Rng rng(seed);
+    std::vector<double> w(static_cast<std::size_t>(blocks) * cells);
+    for (int b = 0; b < blocks; ++b) {
+        double *block = w.data() + static_cast<std::size_t>(b) * cells;
+        double sum = 0.0;
+        for (int c = 0; c < cells; ++c)
+            sum += block[c] = rng.uniform(0.1, 1.0);
+        for (int c = 0; c < cells; ++c)
+            block[c] /= sum;
+    }
+    return w;
+}
+
+std::unique_ptr<DtmPolicy>
+registryPolicy(const std::string &name, const SimConfig &cfg)
+{
+    return PolicyRegistry::instance().make(
+        name, PolicyBuildContext{cfg.dtmInterval, cfg.emergencyLevels,
+                                 cfg.remapInterval, cfg.remapHysteresis,
+                                 cfg.trafficShares});
+}
+
+TEST(ThermalSimulator, RefreshBankRemapBitsArePinned)
+{
+    // WindowLoopBitsArePinned for the paths its grid leaves out:
+    // ddr2_2x refresh driven into its 2x band, a 32x32 bank grid with
+    // seeded per-DIMM weights on a 4x8 organization, the remap
+    // policies, a runBatch fork, and one Scratch reused across two
+    // weight sets and two DIMM counts (its bank-slope memo must never
+    // serve one grid's slopes to another). Same hash, same libm caveat.
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    auto add = [&](const SimResult &r) {
+        h = fnv1a(toJson(r, true).dump(), h);
+    };
+    const Workload mix = workloadMix("W1");
+
+    SimConfig cfg = makeCh4Config(coolingFdhs10(), false);
+    cfg.ambient.tInlet = 46.0;
+    cfg.org = MemoryOrgConfig{4, 8};
+    cfg.refresh = refreshModelByName("ddr2_2x");
+    cfg.trafficShares = {0.3, 0.1, 0.1, 0.1, 0.1, 0.1, 0.1, 0.1};
+    cfg.copiesPerApp = 4;
+    cfg.maxSimTime = 300.0;
+    cfg.bankGrid = BankGridConfig{32, 32, seededBankWeights(31, 8, 1024)};
+
+    ThermalSimulator::Scratch scratch;
+    ThermalSimulator sim(cfg);
+    Celsius hottest = 0.0;
+    for (const char *name : {"No-limit", "DTM-remap", "DTM-TS+remap"}) {
+        auto policy = registryPolicy(name, cfg);
+        const SimResult r = sim.run(mix, *policy, scratch);
+        hottest = std::max(hottest, r.maxDram);
+        add(r);
+    }
+    EXPECT_GT(hottest, refreshModelByName("ddr2_2x").bands.back().minTemp)
+        << "no run reached the 2x refresh band";
+
+    std::vector<std::unique_ptr<DtmPolicy>> owned;
+    std::vector<DtmPolicy *> lineup;
+    for (const char *name : {"DTM-TS", "DTM-remap", "DTM-TS+remap"}) {
+        owned.push_back(registryPolicy(name, cfg));
+        lineup.push_back(owned.back().get());
+    }
+    BatchStats stats;
+    for (const SimResult &r : sim.runBatch(mix, lineup, scratch, &stats))
+        add(r);
+    EXPECT_GE(stats.forks, 1u) << "the batch never forked";
+
+    // A second weight set (one block every DIMM shares), the same grid
+    // on four DIMMs, then the first grid again, all on one Scratch.
+    SimConfig alike = cfg;
+    alike.bankGrid->weights = seededBankWeights(32, 1, 1024);
+    SimConfig four = alike;
+    four.org = MemoryOrgConfig{4, 4};
+    four.trafficShares = {0.4, 0.2, 0.2, 0.2};
+    for (const SimConfig *c : {&alike, &four, &cfg}) {
+        ThermalSimulator s(*c);
+        auto policy = registryPolicy("DTM-TS+remap", *c);
+        add(s.run(mix, *policy, scratch));
+    }
+
+    EXPECT_EQ(h, 0xf768524225e084bfULL) << std::hex << "0x" << h;
 }
 
 } // namespace

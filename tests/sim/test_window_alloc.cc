@@ -159,9 +159,9 @@ batchRunAllocations(SimConfig cfg, Seconds max_time)
 }
 
 /**
- * The batched path: the whole lineup in lockstep with noisy sensors,
- * so the shared lane forks and every decision window partitions the
- * members of each group.
+ * The batched path: the whole lineup on one worklist of trajectories,
+ * each run to its end, with noisy sensors, so the shared lane forks and
+ * every decision window partitions the members of each group.
  */
 TEST(WindowAlloc, RunBatchFullLineupNoisySensors)
 {

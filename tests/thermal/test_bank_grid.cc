@@ -442,6 +442,44 @@ TEST(BankOverlayPrimitives, SlopesAreSortedDistinctAndIndexTheirCells)
     EXPECT_EQ(u.x[8], 0.0);
 }
 
+TEST(BankOverlayPrimitives, SlopeMemoSharesOnlyEqualInputs)
+{
+    // A memo serves its slopes again only for an equal grid (weights
+    // included) and DIMM count; models built through it, and their
+    // copies, share one instance equal to a fresh resolve.
+    Rng rng(32);
+    BankGridConfig g{4, 4, {}};
+    g.weights = randomWeights(rng, g.cells());
+    BankSlopeMemo memo;
+    const auto a = memo.get(g, 2);
+    EXPECT_EQ(memo.get(BankGridConfig(g), 2), a);
+    const auto four = memo.get(g, 4);
+    EXPECT_NE(four, a);
+    EXPECT_EQ(four->count.size(), 4u);
+    BankGridConfig other = g;
+    other.weights[3] += 1e-3;
+    const auto b = memo.get(other, 4);
+    EXPECT_NE(b, four);
+    const BankSlopes fresh = resolveBankSlopes(other, 4);
+    EXPECT_EQ(b->x, fresh.x);
+    EXPECT_EQ(b->count, fresh.count);
+    EXPECT_EQ(b->slot, fresh.slot);
+
+    const MemoryOrgConfig org{4, 4};
+    const MemoryThermalModel m(org, coolingAohs15(), DimmPowerModel{}, 45.0,
+                               {}, other, &memo);
+    EXPECT_EQ(m.bankSlopes(), b);
+    EXPECT_EQ(MemoryThermalModel(m).bankSlopes(), b);
+    const MemoryThermalModel alone(org, coolingAohs15(), DimmPowerModel{},
+                                   45.0, {}, other);
+    EXPECT_NE(alone.bankSlopes(), b);
+    EXPECT_EQ(alone.bankSlopes()->x, fresh.x);
+    EXPECT_EQ(MemoryThermalModel(org, coolingAohs15(), DimmPowerModel{},
+                                 45.0)
+                  .bankSlopes(),
+              nullptr);
+}
+
 TEST(BankOverlayPrimitives, EnvelopeMatchesBruteForceMaximum)
 {
     Rng rng(2026);
