@@ -1,10 +1,12 @@
 /**
  * @file
- * google-benchmark microbenchmarks of the FBDIMM timing simulator.
+ * google-benchmark microbenchmarks of the FBDIMM timing simulator and
+ * of trace ingest (parse and decode of a 200k-record trace).
  */
 
 #include <benchmark/benchmark.h>
 
+#include "dram/trace.hh"
 #include "dram/traffic_gen.hh"
 
 using namespace memtherm;
@@ -63,10 +65,52 @@ BM_AddressDecode(benchmark::State &state)
     state.SetItemsProcessed(state.iterations());
 }
 
+/**
+ * A 200k-record random trace over the block interleave of a 4x8
+ * organization with 32x32 bank cells (2^16 rows of blocks), in the
+ * canonical spelling formatTrace writes.
+ */
+std::vector<TraceRecord>
+benchTrace()
+{
+    TraceGenConfig cfg;
+    cfg.pattern = TraceGenConfig::Pattern::Random;
+    cfg.maxAddr = 64ULL * 4 * 8 * 1024 << 16;
+    cfg.count = 200000;
+    cfg.readPct = 70.0;
+    return generateTrace(cfg);
+}
+
+void
+BM_TraceParse(benchmark::State &state)
+{
+    const std::string text = formatTrace(benchTrace());
+    for (auto _ : state) {
+        std::vector<TraceRecord> recs = parseTrace(text, "bench");
+        benchmark::DoNotOptimize(recs.data());
+    }
+    state.SetItemsProcessed(200000 * state.iterations());
+    state.SetBytesProcessed(static_cast<std::int64_t>(text.size()) *
+                            state.iterations());
+}
+
+void
+BM_TraceDecode(benchmark::State &state)
+{
+    const std::vector<TraceRecord> recs = benchTrace();
+    for (auto _ : state) {
+        TraceProfile p = decodeTrace(recs, 4, 8, 32 * 32);
+        benchmark::DoNotOptimize(p.bankWeights.data());
+    }
+    state.SetItemsProcessed(200000 * state.iterations());
+}
+
 BENCHMARK(BM_ChannelRandomReads)->Arg(0)->Arg(1)->Unit(
     benchmark::kMillisecond);
 BENCHMARK(BM_MemorySystemSaturation)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_AddressDecode);
+BENCHMARK(BM_TraceParse)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_TraceDecode)->Unit(benchmark::kMillisecond);
 
 } // namespace
 

@@ -1339,11 +1339,17 @@ ScenarioSpec::lower() const
         }
     }
 
-    // Load the trace once; it decodes per grid point below (the profile
-    // depends on the point's organization and grid resolution).
+    // Load the trace once; it decodes below once per distinct
+    // organization and grid resolution, the only inputs of a profile.
     std::vector<TraceRecord> traceRecords;
     if (!trace.empty())
         traceRecords = loadTrace(trace);
+    struct Decoded
+    {
+        int channels, dimms, cells;
+        TraceProfile profile;
+    };
+    std::vector<Decoded> decoded;
 
     const SimConfig base =
         onPlatform ? plat->sim
@@ -1387,12 +1393,22 @@ ScenarioSpec::lower() const
         // per-DIMM shares always, per-bank heat weights when the
         // bank-grid model is active at this point.
         if (!traceRecords.empty()) {
-            TraceProfile prof = decodeTrace(
-                traceRecords, cfg.org.nChannels, cfg.org.nDimmsPerChannel,
-                cfg.bankGrid ? cfg.bankGrid->cells() : 0);
-            cfg.trafficShares = std::move(prof.dimmShares);
+            const int nc = cfg.org.nChannels;
+            const int nd = cfg.org.nDimmsPerChannel;
+            const int cells = cfg.bankGrid ? cfg.bankGrid->cells() : 0;
+            auto it = std::find_if(
+                decoded.begin(), decoded.end(), [&](const Decoded &d) {
+                    return d.channels == nc && d.dimms == nd &&
+                           d.cells == cells;
+                });
+            if (it == decoded.end()) {
+                decoded.push_back(
+                    {nc, nd, cells, decodeTrace(traceRecords, nc, nd, cells)});
+                it = decoded.end() - 1;
+            }
+            cfg.trafficShares = it->profile.dimmShares;
             if (cfg.bankGrid)
-                cfg.bankGrid->weights = std::move(prof.bankWeights);
+                cfg.bankGrid->weights = it->profile.bankWeights;
         }
 
         // The simulator panics on a decision period below its trace

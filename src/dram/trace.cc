@@ -1,10 +1,13 @@
 #include "dram/trace.hh"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cmath>
 #include <fstream>
 #include <sstream>
 #include <string_view>
+#include <utility>
 
 #include "common/logging.hh"
 #include "common/rng.hh"
@@ -98,6 +101,95 @@ parseU64(std::string_view tok, std::uint64_t &out)
     return true;
 }
 
+/** Hex digit values (parseU64's digit set); 0xff marks a non-digit. */
+constexpr std::array<std::uint8_t, 256> kHexValue = [] {
+    std::array<std::uint8_t, 256> t{};
+    t.fill(0xff);
+    for (int c = 0; c < 10; ++c)
+        t['0' + c] = static_cast<std::uint8_t>(c);
+    for (int c = 0; c < 6; ++c) {
+        t['a' + c] = static_cast<std::uint8_t>(10 + c);
+        t['A' + c] = static_cast<std::uint8_t>(10 + c);
+    }
+    return t;
+}();
+
+/**
+ * The fast path for the canonical record line `0x<hex> <r|w> <dec>`,
+ * the spelling formatTrace writes, at the start of [@p p, @p end) and
+ * ending at a '\n' or at the end of the text. Returns the bytes taken
+ * (the newline included) with @p rec filled, or 0 to leave the line to
+ * the general tokenizer, which then owns every diagnostic. It accepts
+ * only lines the tokenizer accepts with the same record: 1-16 hex
+ * digits (so no overflow), one blank on each side of the op, and 1-10
+ * decimal digits worth 1 to 2^32 - 1.
+ */
+std::size_t
+parseCanonical(const char *p, const char *end, TraceRecord &rec)
+{
+    const char *const start = p;
+    if (end - p < 2 || p[0] != '0' || p[1] != 'x')
+        return 0;
+    p += 2;
+    std::uint64_t addr = 0;
+    int n = 0;
+    for (; p != end; ++p, ++n) {
+        const std::uint8_t d = kHexValue[static_cast<unsigned char>(*p)];
+        if (d > 15)
+            break;
+        if (n == 16)
+            return 0;
+        addr = addr << 4 | d;
+    }
+    if (n == 0 || end - p < 4 || p[0] != ' ' || (p[1] != 'r' && p[1] != 'w') ||
+        p[2] != ' ')
+        return 0;
+    const bool write = p[1] == 'w';
+    p += 3;
+    std::uint64_t bytes = 0;
+    for (n = 0; p != end; ++p, ++n) {
+        const unsigned d = static_cast<unsigned char>(*p) - unsigned{'0'};
+        if (d > 9)
+            break;
+        if (n == 10)
+            return 0;
+        bytes = bytes * 10 + d;
+    }
+    if (n == 0 || bytes == 0 || bytes > 0xffffffffULL)
+        return 0;
+    if (p != end && *p++ != '\n')
+        return 0;
+    rec.addr = addr;
+    rec.bytes = static_cast<std::uint32_t>(bytes);
+    rec.write = write;
+    return static_cast<std::size_t>(p - start);
+}
+
+/**
+ * Tally byte counts per DIMM and per (DIMM, bank cell) in record order,
+ * which fixes the floating-point sums whatever @p locate computes.
+ * @p locate maps an address to its (DIMM, cell) pair; the cell is
+ * ignored when @p bank_cells is 0.
+ */
+template <class Locate>
+void
+tally(const std::vector<TraceRecord> &records, std::size_t bank_cells,
+      Locate locate, std::vector<double> &dimm_bytes,
+      std::vector<double> &bank_bytes, double &total_bytes,
+      double &read_bytes)
+{
+    for (const TraceRecord &r : records) {
+        const auto [dimm, cell] = locate(r.addr);
+        const double b = static_cast<double>(r.bytes);
+        dimm_bytes[dimm] += b;
+        if (bank_cells > 0)
+            bank_bytes[dimm * bank_cells + cell] += b;
+        total_bytes += b;
+        if (!r.write)
+            read_bytes += b;
+    }
+}
+
 } // namespace
 
 std::vector<TraceRecord>
@@ -121,10 +213,10 @@ parseTrace(const std::string &text, const std::string &name)
                   ": bad header (expected '#memtherm-trace v" +
                   std::to_string(kTraceFormatVersion) + "')");
         std::uint64_t v = 0;
-        if (!parseU64(ver.substr(1), v))
+        if (!parseU64(ver.substr(1), v) || v == 0)
             fatal(at(name, line_no) + ": bad version '" + std::string(ver) +
                   "'");
-        if (static_cast<int>(v) > kTraceFormatVersion)
+        if (v > static_cast<std::uint64_t>(kTraceFormatVersion))
             fatal("trace '" + name + "': format version " +
                   std::to_string(v) + " is newer than this binary's v" +
                   std::to_string(kTraceFormatVersion) +
@@ -135,8 +227,16 @@ parseTrace(const std::string &text, const std::string &name)
     // Upper bound (comments and blanks included): one allocation.
     out.reserve(static_cast<std::size_t>(
         std::count(rest.begin(), rest.end(), '\n') + 1));
-    while (nextLine(rest, line)) {
+    const char *const end = rest.data() + rest.size();
+    while (!rest.empty()) {
         ++line_no;
+        TraceRecord rec;
+        if (const std::size_t n = parseCanonical(rest.data(), end, rec)) {
+            out.push_back(rec);
+            rest.remove_prefix(n);
+            continue;
+        }
+        nextLine(rest, line);
         // Skip blanks and comments.
         std::size_t first = line.find_first_not_of(" \t\r");
         if (first == std::string_view::npos || line[first] == '#')
@@ -152,7 +252,6 @@ parseTrace(const std::string &text, const std::string &name)
         if (const std::string_view extra = nextToken(ls); !extra.empty())
             fatal(at(name, line_no) + ": trailing token '" +
                   std::string(extra) + "'");
-        TraceRecord rec;
         if (!parseU64(addr_tok, rec.addr))
             fatal(at(name, line_no) + ": bad address '" +
                   std::string(addr_tok) + "'");
@@ -182,8 +281,18 @@ loadTrace(const std::string &path)
     std::ifstream in(path, std::ios::binary);
     if (!in)
         fatal("trace '" + path + "': cannot open file");
+    // One read into a buffer sized from the file; a stream whose size
+    // is unknown (a pipe), or a file that grew meanwhile, is read on in
+    // chunks from where that read stopped.
     std::string text;
-    char chunk[1 << 16];
+    const std::streamoff size = in.seekg(0, std::ios::end).tellg();
+    if (size > 0 && in.seekg(0, std::ios::beg)) {
+        text.resize(static_cast<std::size_t>(size));
+        in.read(text.data(), size);
+        text.resize(static_cast<std::size_t>(in.gcount()));
+    }
+    in.clear();
+    char chunk[1 << 12];
     while (in.read(chunk, sizeof chunk) || in.gcount() > 0)
         text.append(chunk, static_cast<std::size_t>(in.gcount()));
     return parseTrace(text, path);
@@ -265,30 +374,40 @@ decodeTrace(const std::vector<TraceRecord> &records, int n_channels,
 
     TraceProfile p;
     p.dimmShares.assign(static_cast<std::size_t>(n_dimms), 0.0);
-    const std::size_t n_bank =
-        static_cast<std::size_t>(n_dimms) * bank_cells;
+    const std::size_t cells = static_cast<std::size_t>(bank_cells);
+    const std::size_t n_bank = static_cast<std::size_t>(n_dimms) * cells;
     std::vector<double> bank_bytes(n_bank, 0.0);
 
     const std::uint64_t nc = static_cast<std::uint64_t>(n_channels);
     const std::uint64_t nd = static_cast<std::uint64_t>(n_dimms);
+    const std::uint64_t nb = static_cast<std::uint64_t>(bank_cells);
     double total_bytes = 0.0;
     double read_bytes = 0.0;
-    for (const TraceRecord &r : records) {
-        const std::uint64_t block = r.addr / block_size;
-        const std::uint64_t dimm = block / nc % nd;
-        const double b = static_cast<double>(r.bytes);
-        p.dimmShares[dimm] += b;
-        if (bank_cells > 0) {
-            const std::uint64_t cell =
-                block / (nc * nd) % static_cast<std::uint64_t>(bank_cells);
-            bank_bytes[dimm * static_cast<std::uint64_t>(bank_cells) +
-                       cell] += b;
-        }
-        total_bytes += b;
-        if (!r.write)
-            read_bytes += b;
-        ++p.records;
+    if (std::has_single_bit(std::uint64_t{block_size}) &&
+        std::has_single_bit(nc) && std::has_single_bit(nd) &&
+        (nb == 0 || std::has_single_bit(nb))) {
+        // Every divisor a power of two: the same map by shifts and masks.
+        const int sb = std::countr_zero(block_size);
+        const int sc = std::countr_zero(nc);
+        const int sd = std::countr_zero(nd);
+        const std::uint64_t cell_mask = nb == 0 ? 0 : nb - 1;
+        tally(records, cells,
+              [=](std::uint64_t addr) {
+                  const std::uint64_t block = addr >> sb;
+                  return std::pair{(block >> sc) & (nd - 1),
+                                   (block >> (sc + sd)) & cell_mask};
+              },
+              p.dimmShares, bank_bytes, total_bytes, read_bytes);
+    } else {
+        tally(records, cells,
+              [=](std::uint64_t addr) {
+                  const std::uint64_t block = addr / block_size;
+                  return std::pair{block / nc % nd,
+                                   nb == 0 ? 0 : block / (nc * nd) % nb};
+              },
+              p.dimmShares, bank_bytes, total_bytes, read_bytes);
     }
+    p.records = records.size();
 
     for (double &s : p.dimmShares)
         s /= total_bytes;

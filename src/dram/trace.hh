@@ -20,8 +20,15 @@
  *     0x1a80 w 64
  *
  * Each record line is `<addr> <r|w> <bytes>` with addresses in hex
- * (0x-prefixed) or decimal. Malformed input is reported as a FatalError
- * naming the file and line, never a crash.
+ * (0x-prefixed) or decimal. The canonical spelling `0x<hex> <r|w> <dec>`
+ * (lower-case 0x, one blank between fields, '\n' or end of text after
+ * the byte count), which formatTrace writes, is read by a table-driven
+ * fast path; every other accepted spelling (0X, decimal addresses,
+ * tabs, CR, extra blanks, leading zeros) still parses, through the
+ * general tokenizer. The header version is compared as an unsigned
+ * 64-bit number, so no stamp wraps to an older version; v0 is
+ * malformed. Malformed input is reported as a FatalError naming the
+ * file and line, never a crash.
  */
 
 #ifndef MEMTHERM_DRAM_TRACE_HH
