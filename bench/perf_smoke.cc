@@ -155,15 +155,17 @@ main()
         warm.workloads = {spec.workloads[0]};
         warm.policies = {spec.policies[0]};
         ExperimentEngine warm_engine(1);
-        runScenario(warm, warm_engine);
+        runScenario(warm, warm_engine, 1);
     }
 
+    // Width 1 (no prefix sharing) in the scalar and refresh passes, so
+    // windows/s stays comparable with the earlier trajectory entries.
     auto t0 = std::chrono::steady_clock::now();
     ExperimentEngine serial(1);
-    ScenarioResults r_serial = runScenario(spec, serial);
+    ScenarioResults r_serial = runScenario(spec, serial, 1);
     auto t1 = std::chrono::steady_clock::now();
     ExperimentEngine parallel(par_threads);
-    ScenarioResults r_par = runScenario(spec, parallel);
+    ScenarioResults r_par = runScenario(spec, parallel, 1);
     auto t2 = std::chrono::steady_clock::now();
 
     double serial_s = seconds(t0, t1);
@@ -202,10 +204,10 @@ main()
     ScenarioSpec sweep = policySweep();
     ExperimentEngine batch_engine(1);
     auto t3 = std::chrono::steady_clock::now();
-    ScenarioResults r_sweep_scalar = runScenario(sweep, batch_engine);
+    ScenarioResults r_sweep_scalar = runScenario(sweep, batch_engine, 1);
     auto t4 = std::chrono::steady_clock::now();
     BatchStats bstats;
-    ScenarioResults r_sweep_batched = runScenarioBatched(
+    ScenarioResults r_sweep_batched = runScenario(
         sweep, batch_engine, static_cast<int>(sweep.policies.size()),
         &bstats);
     auto t5 = std::chrono::steady_clock::now();
@@ -246,7 +248,7 @@ main()
     rspec.refresh = RefreshSpec{"ddr2_2x", {}};
     ExperimentEngine refresh_engine(1);
     auto t6 = std::chrono::steady_clock::now();
-    ScenarioResults r_refresh = runScenario(rspec, refresh_engine);
+    ScenarioResults r_refresh = runScenario(rspec, refresh_engine, 1);
     auto t7 = std::chrono::steady_clock::now();
 
     double refresh_s = seconds(t6, t7);

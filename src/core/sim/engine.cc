@@ -152,7 +152,9 @@ ExperimentEngine::runBatched(const std::vector<Run> &runs,
         }
     };
 
-    auto oneChunk = [&](const Chunk &ch, ThermalSimulator::Scratch &s) {
+    // Generic so that the failure path below can call it for one run.
+    auto oneChunk = [&](auto &self, const Chunk &ch,
+                        ThermalSimulator::Scratch &s) -> void {
         const auto t0 = clock::now();
 
         // Build one policy per member; a failing build (unknown name,
@@ -185,16 +187,24 @@ ExperimentEngine::runBatched(const std::vector<Run> &runs,
         } catch (...) {
             err = std::current_exception();
         }
+        if (err && idx.size() > 1) {
+            // A mid-simulation failure poisons the shared lanes, and the
+            // chunk cannot tell whose policy threw. Rerun each member
+            // alone with a freshly built policy, so only the faulty run
+            // reports an error and the others still deliver their exact
+            // results (membership never changes a member's bits).
+            built.clear();
+            for (std::size_t i : idx)
+                self(self, Chunk{i, 1}, s);
+            return;
+        }
         const double wall_s =
             std::chrono::duration<double>(clock::now() - t0).count();
         // The chunk's wall time is shared work; apportion it evenly so
         // per-run timings still sum to the grid total.
         const double share = wall_s / static_cast<double>(idx.size());
         if (err) {
-            // A mid-simulation failure poisons the shared lanes — every
-            // member of the chunk fails together.
-            for (std::size_t i : idx)
-                deliver(i, SimResult{}, share, err);
+            deliver(idx[0], SimResult{}, share, err);
             return;
         }
         for (std::size_t k = 0; k < idx.size(); ++k)
@@ -208,7 +218,7 @@ ExperimentEngine::runBatched(const std::vector<Run> &runs,
     if (workers.empty()) {
         ThermalSimulator::Scratch scratch;
         for (const Chunk &ch : chunks)
-            oneChunk(ch, scratch);
+            oneChunk(oneChunk, ch, scratch);
     } else {
         // Completion state lives on this frame; `done` is guarded by
         // done_mtx (not an atomic) so this call cannot observe the grid
@@ -223,7 +233,7 @@ ExperimentEngine::runBatched(const std::vector<Run> &runs,
             std::lock_guard<std::mutex> lock(mtx);
             for (const Chunk &ch : chunks) {
                 queue.emplace_back([&, ch](ThermalSimulator::Scratch &s) {
-                    oneChunk(ch, s);
+                    oneChunk(oneChunk, ch, s);
                     std::lock_guard<std::mutex> dlock(done_mtx);
                     if (++done == chunks.size())
                         done_cv.notify_all();

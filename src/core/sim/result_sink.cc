@@ -56,52 +56,6 @@ envFaultIndex(const char *name)
 }
 
 std::string
-whatOf(std::exception_ptr err)
-{
-    try {
-        std::rethrow_exception(err);
-    } catch (const std::exception &e) {
-        return e.what();
-    } catch (...) {
-        return "unknown error";
-    }
-}
-
-/**
- * The lowered grid's index geometry: global run k lives at point
- * k / (W*P), workload (k % (W*P)) / P, policy k % P — the same layout
- * runScenario() uses, so stream indices mean the same run everywhere.
- */
-struct GridIndex
-{
-    explicit GridIndex(const LoweredScenario &low)
-        : workloads(low.workloads), policies(low.policies)
-    {
-        for (const auto &pt : low.points)
-            pointLabels.push_back(pt.label);
-        perPoint = workloads.size() * policies.size();
-    }
-
-    const std::string &point(std::size_t k) const
-    {
-        return pointLabels[k / perPoint];
-    }
-    const std::string &workload(std::size_t k) const
-    {
-        return workloads[(k % perPoint) / policies.size()];
-    }
-    const std::string &policy(std::size_t k) const
-    {
-        return policies[k % policies.size()];
-    }
-
-    std::vector<std::string> pointLabels;
-    std::vector<std::string> workloads;
-    std::vector<std::string> policies;
-    std::size_t perPoint = 1;
-};
-
-std::string
 streamMemberString(const Json &j, const char *key, const std::string &where)
 {
     const Json *v = j.find(key);
@@ -396,42 +350,32 @@ namespace
 
 /**
  * Sink behind runScenarioStream(): persists each result/failure the
- * moment it arrives, mapping the engine's filtered batch index back to
- * the global grid index the stream speaks.
+ * moment it arrives, under its global grid index.
  */
 class StreamWriteSink : public RunSink
 {
   public:
     StreamWriteSink(JsonlResultWriter &writer, const GridIndex &grid,
-                    std::vector<std::size_t> global, bool traces)
-        : writer(writer), grid(grid), global(std::move(global)),
-          traces(traces)
+                    bool traces)
+        : writer(writer), grid(grid), traces(traces)
     {
     }
 
-    void onResult(std::size_t i, SimResult &&r, double wall_s) override
+    void onResult(std::size_t k, SimResult &&r, double wall_s) override
     {
-        const std::size_t k = global[i];
         writer.appendResult(k, grid.point(k), grid.workload(k),
                             grid.policy(k), r, wall_s, traces);
     }
 
-    void onFailure(std::size_t i, std::exception_ptr err) override
+    void onFailure(std::size_t k, std::exception_ptr err) override
     {
-        const std::size_t k = global[i];
-        RunError e;
-        e.index = k;
-        e.point = grid.point(k);
-        e.workload = grid.workload(k);
-        e.policy = grid.policy(k);
-        e.error = whatOf(err);
+        RunError e = grid.error(k, err);
         writer.appendError(k, e.point, e.workload, e.policy, e.error);
         failures.push_back(std::move(e));
     }
 
     JsonlResultWriter &writer;
     const GridIndex &grid;
-    std::vector<std::size_t> global; ///< batch index -> global index
     bool traces;
     std::vector<RunError> failures;
 };
@@ -443,19 +387,10 @@ runScenarioStream(const ScenarioSpec &spec, ExperimentEngine &engine,
                   const StreamRunOptions &opts)
 {
     LoweredScenario low = spec.lower();
-    GridIndex grid(low);
-
-    std::vector<ExperimentEngine::Run> all;
-    all.reserve(low.totalRuns());
-    for (const auto &pt : low.points)
-        for (const auto &r : pt.runs)
-            all.push_back(r);
-    // Inject on the full list, before shard/resume filtering, so an
-    // injected index names the same run under every invocation shape.
-    applyFaultInjection(all);
+    const GridIndex grid(low);
 
     StreamRunStats stats;
-    stats.totalRuns = all.size();
+    stats.totalRuns = low.totalRuns();
 
     std::error_code ec;
     const bool exists = std::filesystem::exists(opts.path, ec) && !ec;
@@ -465,7 +400,7 @@ runScenarioStream(const ScenarioSpec &spec, ExperimentEngine &engine,
 
     // Which global indices already hold a result. Errored indices stay
     // absent — a resume retries them (most failures are environmental).
-    std::vector<bool> completed(all.size(), false);
+    std::vector<bool> completed(stats.totalRuns, false);
     std::size_t cleanSize = 0;
     if (opts.resume && nonEmpty) {
         StreamScan scan = scanStream(opts.path, /*keep_results=*/false);
@@ -476,10 +411,10 @@ runScenarioStream(const ScenarioSpec &spec, ExperimentEngine &engine,
                   scan.specHash + ", scenario hashes to " + want +
                   "); refusing to mix results from different scenarios");
         }
-        if (scan.totalRuns != all.size()) {
+        if (scan.totalRuns != stats.totalRuns) {
             fatal("stream '" + opts.path + "': header says " +
                   std::to_string(scan.totalRuns) + " runs but the "
-                  "scenario lowers to " + std::to_string(all.size()));
+                  "scenario lowers to " + std::to_string(stats.totalRuns));
         }
         if (!(scan.shard == opts.shard)) {
             fatal("stream '" + opts.path + "': header shard " +
@@ -503,33 +438,28 @@ runScenarioStream(const ScenarioSpec &spec, ExperimentEngine &engine,
     const bool resuming = opts.resume && nonEmpty;
 
     // This shard's slice, minus what the stream already has.
-    std::vector<ExperimentEngine::Run> todo;
-    std::vector<std::size_t> global;
-    for (std::size_t k = 0; k < all.size(); ++k) {
+    std::vector<bool> todo(stats.totalRuns, false);
+    for (std::size_t k = 0; k < stats.totalRuns; ++k) {
         if (!opts.shard.owns(k))
             continue;
         ++stats.shardRuns;
-        if (completed[k]) {
+        if (completed[k])
             ++stats.skipped;
-            continue;
-        }
-        todo.push_back(all[k]);
-        global.push_back(k);
+        else
+            todo[k] = true;
     }
-    stats.executed = todo.size();
+    stats.executed = stats.shardRuns - stats.skipped;
 
     JsonlResultWriter writer =
         resuming ? JsonlResultWriter(opts.path, cleanSize)
-                 : JsonlResultWriter(opts.path, spec, all.size(),
+                 : JsonlResultWriter(opts.path, spec, stats.totalRuns,
                                      opts.shard, opts.traces);
 
-    StreamWriteSink sink(writer, grid, std::move(global), opts.traces);
-    engine.run(todo, sink);
+    StreamWriteSink sink(writer, grid, opts.traces);
+    runLoweredScenario(low, engine, todo, opts.batchWidth, sink,
+                       &stats.batch);
 
-    std::sort(sink.failures.begin(), sink.failures.end(),
-              [](const RunError &a, const RunError &b) {
-                  return a.index < b.index;
-              });
+    std::sort(sink.failures.begin(), sink.failures.end());
     stats.failed = sink.failures.size();
     stats.failures = std::move(sink.failures);
     return stats;
@@ -583,9 +513,7 @@ mergeStreams(const std::vector<std::string> &paths)
     }
 
     // Canonical document: re-lower the embedded spec for the grid
-    // geometry, slot records by index, and emit workloads/policies in
-    // sorted order — exactly how toJson(ScenarioResults) iterates its
-    // std::map keys — so merged bytes equal `run -o` bytes.
+    // geometry.
     LoweredScenario low = out.spec.lower();
     if (low.totalRuns() != out.totalRuns) {
         fatal("merge: embedded spec lowers to " +
@@ -593,33 +521,26 @@ mergeStreams(const std::vector<std::string> &paths)
               "says " + std::to_string(out.totalRuns) +
               " (stream written by an incompatible version?)");
     }
-    GridIndex grid(low);
+    const GridIndex grid(low);
 
-    Json doc = Json::object();
-    doc.set("scenario", out.spec.name);
-    // Mirror toJson(ScenarioResults): stamp the *minimum* schema version
-    // the merged members imply (3 for per-bank peaks, 2 for the refresh
-    // fields, nothing for the historical set), so refresh-free merges
-    // stay byte-identical to documents written by older binaries.
-    bool hasV2 = false, hasV3 = false;
-    for (const StreamRecord *rec : best) {
-        if (!rec || rec->failed)
-            continue;
-        hasV2 |= rec->result.find("refresh_bw_loss_per_dimm_gb") != nullptr;
-        hasV3 |= rec->result.find("peak_bank_dram_c") != nullptr;
-    }
-    if (hasV3)
-        doc.set("schema_version", 3);
-    else if (hasV2)
-        doc.set("schema_version", 2);
+    // Slot records by index and emit workloads/policies in sorted order
+    // — exactly how toJson(ScenarioResults) iterates its std::map keys —
+    // so merged bytes equal `run -o` bytes.
+    int version = 1;
     Json pts = Json::array();
-    for (std::size_t p = 0; p < grid.pointLabels.size(); ++p) {
+    for (std::size_t p = 0; p < low.points.size(); ++p) {
         std::map<std::string, std::map<std::string, const Json *>> suite;
-        for (std::size_t j = 0; j < grid.perPoint; ++j) {
-            const std::size_t k = p * grid.perPoint + j;
+        for (std::size_t j = 0; j < grid.runsPerPoint(); ++j) {
+            const std::size_t k = p * grid.runsPerPoint() + j;
             const StreamRecord *rec = best[k];
-            if (rec && !rec->failed)
-                suite[grid.workload(k)][grid.policy(k)] = &rec->result;
+            if (!rec || rec->failed)
+                continue;
+            suite[grid.workload(k)][grid.policy(k)] = &rec->result;
+            // The members toJson(ScenarioResults) stamps its version by.
+            if (rec->result.find("peak_bank_dram_c"))
+                version = std::max(version, 3);
+            else if (rec->result.find("refresh_bw_loss_per_dimm_gb"))
+                version = std::max(version, 2);
         }
         Json results = Json::object();
         for (const auto &[w, per_policy] : suite) {
@@ -629,33 +550,22 @@ mergeStreams(const std::vector<std::string> &paths)
             results.set(w, std::move(pw));
         }
         Json pj = Json::object();
-        pj.set("label", grid.pointLabels[p]);
+        pj.set("label", low.points[p].label);
         pj.set("results", std::move(results));
         pts.push(std::move(pj));
     }
-    doc.set("points", std::move(pts));
 
     for (std::size_t k = 0; k < out.totalRuns; ++k) {
         const StreamRecord *rec = best[k];
         if (!rec)
             out.missingRuns.push_back(k);
         else if (rec->failed)
-            out.errors.push_back(*rec);
+            out.errors.push_back(RunError{rec->index, rec->point,
+                                          rec->workload, rec->policy,
+                                          rec->error});
     }
-    if (!out.errors.empty()) {
-        Json errs = Json::array();
-        for (const auto &e : out.errors) {
-            Json o = Json::object();
-            o.set("index", static_cast<std::uint64_t>(e.index));
-            o.set("point", e.point);
-            o.set("workload", e.workload);
-            o.set("policy", e.policy);
-            o.set("error", e.error);
-            errs.push(std::move(o));
-        }
-        doc.set("errors", std::move(errs));
-    }
-    out.results = std::move(doc);
+    out.results =
+        resultDocument(out.spec.name, version, std::move(pts), out.errors);
     return out;
 }
 

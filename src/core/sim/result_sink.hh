@@ -192,6 +192,9 @@ struct StreamRunOptions
     bool resume = false;  ///< continue an existing stream
     ShardSpec shard;      ///< this invocation's slice of the grid
     bool traces = false;  ///< embed full traces in result lines
+    /// Prefix-sharing width cap (runLoweredScenario()): < 1 shares
+    /// across whole classes, 1 runs every run alone.
+    int batchWidth = 0;
 };
 
 /** What one runScenarioStream() invocation did. */
@@ -203,12 +206,18 @@ struct StreamRunStats
     std::size_t executed = 0;  ///< runs executed by this invocation
     std::size_t failed = 0;    ///< of those, how many failed
     std::vector<RunError> failures; ///< this invocation's failures
+    BatchStats batch;          ///< prefix-sharing counters of this run
 };
 
 /**
- * Execute a scenario with streaming results: lower the grid, filter to
- * this shard (and, on resume, to indices the stream has not completed),
- * and append each result to the stream as it finishes. On resume the
+ * Execute a scenario with streaming results: lower the grid, select
+ * this shard's runs (and, on resume, only indices the stream has not
+ * completed), run them through runLoweredScenario() at
+ * StreamRunOptions::batchWidth, and append each result to the stream as
+ * it finishes. Sharding stays per-run round-robin (ShardSpec::owns());
+ * prefix sharing happens inside each shard's subset, so stream headers
+ * and merge are independent of the width. A result record's `wall_s` is
+ * its chunk's wall time split evenly over the chunk's members. On resume the
  * header's spec hash, total run count, shard, and traces flag must all
  * match — FatalError otherwise; failed indices are retried. A resume
  * of a missing or empty stream file starts fresh (so unattended
@@ -224,7 +233,7 @@ struct MergedStream
     ScenarioSpec spec;
     std::size_t totalRuns = 0;
     Json results; ///< canonical results JSON (`run -o` shape)
-    std::vector<StreamRecord> errors;       ///< failure records, by index
+    std::vector<RunError> errors;           ///< failure records, by index
     std::vector<std::size_t> missingRuns;   ///< indices with no record
 };
 

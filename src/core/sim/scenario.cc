@@ -933,6 +933,33 @@ axes()
 }
 
 /**
+ * A `config` knob that is a plain number: no sweep axis, no special
+ * case. It parses with memberNumber(), is checked finite and against
+ * its bound, and overrides one SimConfig member at every grid point.
+ */
+struct NumericKnob
+{
+    const char *key;
+    std::optional<double> ScenarioSpec::*spec;
+    Bound bound;
+    double SimConfig::*cfg;
+};
+
+/** The numeric knobs, in their `config` member order. */
+constexpr NumericKnob kNumericKnobs[] = {
+    {"instr_scale", &ScenarioSpec::instrScale, {0.0, true},
+     &SimConfig::instrScale},
+    {"max_sim_time", &ScenarioSpec::maxSimTime, {0.0, true},
+     &SimConfig::maxSimTime},
+    {"remap_interval", &ScenarioSpec::remapInterval, {0.0, true},
+     &SimConfig::remapInterval},
+    {"remap_hysteresis", &ScenarioSpec::remapHysteresis, {0.0, false},
+     &SimConfig::remapHysteresis},
+    {"sensor_quant", &ScenarioSpec::sensorQuant, {0.0, false},
+     &SimConfig::sensorQuant},
+};
+
+/**
  * The `config` members in their documented order: the knobs that are
  * not sweep axes, with each axis inserted at its configRank.
  */
@@ -940,10 +967,10 @@ const std::vector<std::string> &
 configMembers()
 {
     static const std::vector<std::string> names = [] {
-        std::vector<std::string> out = {
-            "ambient",        "trace",          "instr_scale",
-            "max_sim_time",   "remap_interval", "remap_hysteresis",
-            "sensor_quant",   "sensor_seed"};
+        std::vector<std::string> out = {"ambient", "trace"};
+        for (const NumericKnob &k : kNumericKnobs)
+            out.push_back(k.key);
+        out.push_back("sensor_seed");
         std::vector<const Axis *> byRank;
         for (const auto &a : axes())
             byRank.push_back(a.get());
@@ -964,6 +991,15 @@ findAxis(const std::string &key)
     for (const auto &a : axes())
         if (key == a->key)
             return a.get();
+    return nullptr;
+}
+
+const NumericKnob *
+findNumericKnob(const std::string &key)
+{
+    for (const NumericKnob &k : kNumericKnobs)
+        if (key == k.key)
+            return &k;
     return nullptr;
 }
 
@@ -1271,16 +1307,9 @@ ScenarioSpec::lower() const
     // indistinguishable from "keep the base value" downstream -----------
     for (const auto &a : axes())
         a->checkKnob(*this);
-    auto checkKnob = [&](const std::optional<double> &v, const char *key,
-                         Bound bound) {
-        if (v)
-            checkValue(*this, *v, key, bound);
-    };
-    checkKnob(instrScale, "instr_scale", {0.0, true});
-    checkKnob(maxSimTime, "max_sim_time", {0.0, true});
-    checkKnob(remapInterval, "remap_interval", {0.0, true});
-    checkKnob(remapHysteresis, "remap_hysteresis", {0.0, false});
-    checkKnob(sensorQuant, "sensor_quant", {0.0, false});
+    for (const NumericKnob &k : kNumericKnobs)
+        if (const auto &v = this->*k.spec)
+            checkValue(*this, *v, k.key, k.bound);
 
     // --- trace vs modeled traffic: the trace IS the measured per-DIMM
     // distribution, so an analytic shape alongside it could only be
@@ -1376,16 +1405,9 @@ ScenarioSpec::lower() const
         }
         if (pt.label.empty())
             pt.label = "base";
-        if (instrScale)
-            cfg.instrScale = *instrScale;
-        if (maxSimTime)
-            cfg.maxSimTime = *maxSimTime;
-        if (remapInterval)
-            cfg.remapInterval = *remapInterval;
-        if (remapHysteresis)
-            cfg.remapHysteresis = *remapHysteresis;
-        if (sensorQuant)
-            cfg.sensorQuant = *sensorQuant;
+        for (const NumericKnob &k : kNumericKnobs)
+            if (const auto &v = this->*k.spec)
+                cfg.*k.cfg = *v;
         if (sensorSeed)
             cfg.sensorSeed = *sensorSeed;
 
@@ -1513,16 +1535,9 @@ ScenarioSpec::toJson() const
         knobs.set("ambient", ambient);
     if (!trace.empty())
         knobs.set("trace", trace);
-    if (instrScale)
-        knobs.set("instr_scale", *instrScale);
-    if (maxSimTime)
-        knobs.set("max_sim_time", *maxSimTime);
-    if (remapInterval)
-        knobs.set("remap_interval", *remapInterval);
-    if (remapHysteresis)
-        knobs.set("remap_hysteresis", *remapHysteresis);
-    if (sensorQuant)
-        knobs.set("sensor_quant", *sensorQuant);
+    for (const NumericKnob &k : kNumericKnobs)
+        if (const auto &v = this->*k.spec)
+            knobs.set(k.key, *v);
     if (sensorSeed)
         knobs.set("sensor_seed", static_cast<double>(*sensorSeed));
     if (!knobs.asObject().empty()) {
@@ -1587,18 +1602,8 @@ ScenarioSpec::fromJson(const Json &j)
                           "integer");
                 s.sensorSeed =
                     jsonInteger<std::uint64_t>(v, "scenario: 'sensor_seed'");
-            } else { // the remaining knobs are plain numbers
-                const double v = memberNumber(*cfg, key);
-                if (key == "instr_scale")
-                    s.instrScale = v;
-                else if (key == "max_sim_time")
-                    s.maxSimTime = v;
-                else if (key == "remap_interval")
-                    s.remapInterval = v;
-                else if (key == "remap_hysteresis")
-                    s.remapHysteresis = v;
-                else if (key == "sensor_quant")
-                    s.sensorQuant = v;
+            } else if (const NumericKnob *k = findNumericKnob(key)) {
+                s.*k->spec = memberNumber(*cfg, key);
             }
         }
     }
@@ -1631,6 +1636,10 @@ ScenarioSpec::save(const std::string &path) const
     toJson().save(path);
 }
 
+namespace
+{
+
+/** The MEMTHERM_FAULT_FAIL_RUN hook (see runLoweredScenario()). */
 void
 applyFaultInjection(std::vector<ExperimentEngine::Run> &runs)
 {
@@ -1653,8 +1662,31 @@ applyFaultInjection(std::vector<ExperimentEngine::Run> &runs)
     };
 }
 
-namespace
+/**
+ * Maps the engine's positions in the selected run list back to the
+ * global grid indices every scenario sink speaks.
+ */
+class GlobalIndexSink : public RunSink
 {
+  public:
+    GlobalIndexSink(RunSink &inner, const std::vector<std::size_t> &global)
+        : inner(inner), global(global)
+    {
+    }
+
+    void onResult(std::size_t i, SimResult &&r, double wall_s) override
+    {
+        inner.onResult(global[i], std::move(r), wall_s);
+    }
+    void onFailure(std::size_t i, std::exception_ptr err) override
+    {
+        inner.onFailure(global[i], err);
+    }
+
+  private:
+    RunSink &inner;
+    const std::vector<std::size_t> &global;
+};
 
 /**
  * Sink behind runScenario(): positional results plus per-run failure
@@ -1663,7 +1695,8 @@ namespace
 class ScenarioCollectSink : public RunSink
 {
   public:
-    explicit ScenarioCollectSink(std::size_t n) : results(n), ok(n, false)
+    explicit ScenarioCollectSink(const GridIndex &grid, std::size_t n)
+        : results(n), ok(n, false), grid(grid)
     {
     }
 
@@ -1675,43 +1708,79 @@ class ScenarioCollectSink : public RunSink
 
     void onFailure(std::size_t i, std::exception_ptr err) override
     {
-        std::string what = "unknown error";
-        try {
-            std::rethrow_exception(err);
-        } catch (const std::exception &e) {
-            what = e.what();
-        } catch (...) {
-        }
-        failures.emplace_back(i, what);
+        errors.push_back(grid.error(i, err));
     }
 
     std::vector<SimResult> results;
     std::vector<bool> ok;
-    std::vector<std::pair<std::size_t, std::string>> failures;
+    std::vector<RunError> errors;
+
+  private:
+    const GridIndex &grid;
 };
 
-/**
- * Shared body of runScenario()/runScenarioBatched(): lower, execute
- * (scalar when @p batch_width is 0, batched otherwise), assemble.
- */
-ScenarioResults
-runScenarioImpl(const ScenarioSpec &spec, ExperimentEngine &engine,
-                int batch_width, BatchStats *stats)
-{
-    LoweredScenario low = spec.lower();
+} // namespace
 
+RunError
+GridIndex::error(std::size_t k, std::exception_ptr err) const
+{
+    RunError e{k, point(k), workload(k), policy(k), "unknown error"};
+    try {
+        std::rethrow_exception(err);
+    } catch (const std::exception &x) {
+        e.error = x.what();
+    } catch (...) {
+    }
+    return e;
+}
+
+void
+runLoweredScenario(const LoweredScenario &low, ExperimentEngine &engine,
+                   const std::vector<bool> &selected, int batch_width,
+                   RunSink &sink, BatchStats *stats)
+{
     std::vector<ExperimentEngine::Run> all;
     all.reserve(low.totalRuns());
     for (const auto &pt : low.points)
         for (const auto &r : pt.runs)
             all.push_back(r);
+    panicIfNot(selected.size() == all.size(),
+               "runLoweredScenario: one selection flag per run");
+    // Inject on the full list, before selection, so an injected index
+    // names the same run under every invocation shape.
     applyFaultInjection(all);
 
-    ScenarioCollectSink sink(all.size());
-    if (batch_width == 0)
-        engine.run(all, sink);
-    else
-        engine.runBatched(all, low.classes, batch_width, sink, stats);
+    // Selection keeps global order, so the classes restricted to their
+    // selected members still tile the selected list in order.
+    std::vector<ExperimentEngine::Run> todo;
+    std::vector<std::size_t> global;
+    std::vector<ExperimentEngine::RunClass> classes;
+    for (const ExperimentEngine::RunClass &c : low.classes) {
+        ExperimentEngine::RunClass kept{todo.size(), 0};
+        for (std::size_t k = c.first; k < c.first + c.count; ++k) {
+            if (!selected[k])
+                continue;
+            todo.push_back(std::move(all[k]));
+            global.push_back(k);
+            ++kept.count;
+        }
+        if (kept.count > 0)
+            classes.push_back(kept);
+    }
+
+    GlobalIndexSink mapped(sink, global);
+    engine.runBatched(todo, classes, batch_width, mapped, stats);
+}
+
+ScenarioResults
+runScenario(const ScenarioSpec &spec, ExperimentEngine &engine,
+            int batch_width, BatchStats *stats)
+{
+    LoweredScenario low = spec.lower();
+    const GridIndex grid(low);
+    ScenarioCollectSink sink(grid, low.totalRuns());
+    runLoweredScenario(low, engine, std::vector<bool>(low.totalRuns(), true),
+                       batch_width, sink, stats);
 
     ScenarioResults out;
     out.scenario = spec.name;
@@ -1727,29 +1796,11 @@ runScenarioImpl(const ScenarioSpec &spec, ExperimentEngine &engine,
             }
         out.points.push_back(std::move(rp));
     }
-    // Failure records carry the full grid coordinate; completion order
-    // is nondeterministic, so sort by index for stable output.
-    std::sort(sink.failures.begin(), sink.failures.end());
-    for (const auto &[i, what] : sink.failures) {
-        const std::size_t per_point = low.workloads.size() *
-                                      low.policies.size();
-        RunError e;
-        e.index = i;
-        e.point = low.points[i / per_point].label;
-        e.workload = low.workloads[(i % per_point) / low.policies.size()];
-        e.policy = low.policies[i % low.policies.size()];
-        e.error = what;
-        out.errors.push_back(std::move(e));
-    }
+    // Completion order is nondeterministic; sort by index for stable
+    // output.
+    std::sort(sink.errors.begin(), sink.errors.end());
+    out.errors = std::move(sink.errors);
     return out;
-}
-
-} // namespace
-
-ScenarioResults
-runScenario(const ScenarioSpec &spec, ExperimentEngine &engine)
-{
-    return runScenarioImpl(spec, engine, 0, nullptr);
 }
 
 ScenarioResults
@@ -1757,13 +1808,6 @@ runScenario(const ScenarioSpec &spec)
 {
     ExperimentEngine engine;
     return runScenario(spec, engine);
-}
-
-ScenarioResults
-runScenarioBatched(const ScenarioSpec &spec, ExperimentEngine &engine,
-                   int batch_width, BatchStats *stats)
-{
-    return runScenarioImpl(spec, engine, batch_width, stats);
 }
 
 namespace
@@ -1898,25 +1942,15 @@ resultSchemaVersionOf(const Json &doc, const std::string &where,
 Json
 toJson(const ScenarioResults &r, bool traces)
 {
-    Json j = Json::object();
-    j.set("scenario", r.scenario);
-    // Schema versioning (kResultSchemaVersion): stamped with the
-    // *minimum* version the document's members imply — 3 only when a
-    // v3-only member (the per-bank peaks) is present, 2 when only
-    // v2-only members (the per-DIMM refresh fields) are, nothing for
-    // the historical member set — so documents keep their exact
-    // historical bytes until they actually use a newer field.
-    bool has_v2 = false, has_v3 = false;
+    int version = 1;
     for (const auto &pt : r.points)
         for (const auto &[w, per_policy] : pt.suite)
             for (const auto &[p, res] : per_policy) {
-                has_v2 |= !res.refreshBwLossPerDimm.empty();
-                has_v3 |= !res.peakBankDramPerDimm.empty();
+                if (!res.peakBankDramPerDimm.empty())
+                    version = std::max(version, 3);
+                else if (!res.refreshBwLossPerDimm.empty())
+                    version = std::max(version, 2);
             }
-    if (has_v3)
-        j.set("schema_version", 3);
-    else if (has_v2)
-        j.set("schema_version", 2);
     Json pts = Json::array();
     for (const auto &pt : r.points) {
         Json p = Json::object();
@@ -1924,12 +1958,29 @@ toJson(const ScenarioResults &r, bool traces)
         p.set("results", toJson(pt.suite, traces));
         pts.push(std::move(p));
     }
-    j.set("points", std::move(pts));
+    return resultDocument(r.scenario, version, std::move(pts), r.errors);
+}
+
+Json
+resultDocument(const std::string &scenario, int schema_version, Json points,
+               const std::vector<RunError> &errors)
+{
+    Json j = Json::object();
+    j.set("scenario", scenario);
+    // Schema versioning (kResultSchemaVersion): stamped with the
+    // *minimum* version the document's members imply — 3 only when a
+    // v3-only member (the per-bank peaks) is present, 2 when only
+    // v2-only members (the per-DIMM refresh fields) are, nothing for
+    // the historical member set — so documents keep their exact
+    // historical bytes until they actually use a newer field.
+    if (schema_version > 1)
+        j.set("schema_version", schema_version);
+    j.set("points", std::move(points));
     // Emitted only when runs failed, so clean results (and the
     // committed goldens) keep their exact historical shape.
-    if (!r.errors.empty()) {
+    if (!errors.empty()) {
         Json errs = Json::array();
-        for (const auto &e : r.errors) {
+        for (const auto &e : errors) {
             Json o = Json::object();
             o.set("index", static_cast<std::uint64_t>(e.index));
             o.set("point", e.point);

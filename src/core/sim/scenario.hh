@@ -69,6 +69,60 @@ struct LoweredScenario
 };
 
 /**
+ * One failed run of a scenario grid, identified well enough to debug
+ * (the grid coordinate and the run's identity, not just a bare what()).
+ */
+struct RunError
+{
+    std::size_t index = 0; ///< global run index in spec grid order
+    std::string point;     ///< sweep-point label
+    std::string workload;
+    std::string policy;
+    std::string error; ///< the exception's what()
+
+    /// Orders by index first (indices are unique within one grid).
+    auto operator<=>(const RunError &) const = default;
+};
+
+/**
+ * The grid coordinate of a global run index: run k lives at point
+ * k / (W*P), workload (k % (W*P)) / P and policy k % P, for W workloads
+ * and P policies. The in-memory and stream sinks and mergeStreams()
+ * all name runs through this one map.
+ */
+class GridIndex
+{
+  public:
+    /** @p low must outlive the index. */
+    explicit GridIndex(const LoweredScenario &low)
+        : low(low), perPoint(low.workloads.size() * low.policies.size())
+    {
+    }
+    explicit GridIndex(LoweredScenario &&) = delete;
+
+    std::size_t runsPerPoint() const { return perPoint; }
+    const std::string &point(std::size_t k) const
+    {
+        return low.points[k / perPoint].label;
+    }
+    const std::string &workload(std::size_t k) const
+    {
+        return low.workloads[(k % perPoint) / low.policies.size()];
+    }
+    const std::string &policy(std::size_t k) const
+    {
+        return low.policies[k % low.policies.size()];
+    }
+
+    /** Run @p k's failure record; @p err is the exception it threw. */
+    RunError error(std::size_t k, std::exception_ptr err) const;
+
+  private:
+    const LoweredScenario &low;
+    std::size_t perPoint;
+};
+
+/**
  * One memory organization a spec names: a catalog entry
  * (registry.hh memoryOrgNames(), e.g. "ch4_4x4" or "2x4") or an inline
  * {channels, dimms} pair for organizations the catalog lacks. A
@@ -335,21 +389,6 @@ struct ScenarioSpec
 const std::vector<std::string> &sweepAxisKeys();
 
 /**
- * One failed run of a scenario grid, identified well enough to debug
- * (the grid coordinate and the run's identity, not just a bare what()).
- */
-struct RunError
-{
-    std::size_t index = 0; ///< global run index in spec grid order
-    std::string point;     ///< sweep-point label
-    std::string workload;
-    std::string policy;
-    std::string error; ///< the exception's what()
-
-    bool operator==(const RunError &) const = default;
-};
-
-/**
  * Results of a scenario: one SuiteResults per sweep point, in grid
  * order, keyed [workload][policy] exactly like runSuite(). A failed run
  * contributes a RunError instead of a suite entry — the rest of the
@@ -369,42 +408,43 @@ struct ScenarioResults
 };
 
 /**
- * Fault-injection hook for crash/failure testing: when the
- * MEMTHERM_FAULT_FAIL_RUN environment variable holds a global run
- * index, that run's policy factory is replaced with one that throws.
- * Applied to the *full* lowered run list (before any shard/resume
- * filtering), so the injected index means the same run everywhere.
- * No-op when the variable is unset or malformed.
+ * The scenario layer's one execution path, behind runScenario() and
+ * runScenarioStream(): flatten @p low's runs into global grid order,
+ * apply fault injection to the full list (when MEMTHERM_FAULT_FAIL_RUN
+ * holds a global run index, that run's policy factory throws, so the
+ * index means the same run under every shard and resume), keep the
+ * runs @p selected marks (one flag per global index), and execute them
+ * in one
+ * ExperimentEngine::runBatched() call. Each equivalence class is
+ * restricted to its selected members (empty classes drop out), so runs
+ * that differ only by policy share their simulated prefix in chunks of
+ * up to @p batch_width runs (< 1 = the whole class; 1 = no sharing)
+ * until their DTM decisions differ. A fork is an exact copy of the
+ * run's state and class membership never changes a member's bits, so
+ * every width and every selection gives each run the bits of its
+ * unshared twin. @p sink receives global run indices; @p stats, when
+ * non-null, accumulates the batch counters.
  */
-void applyFaultInjection(std::vector<ExperimentEngine::Run> &runs);
+void runLoweredScenario(const LoweredScenario &low, ExperimentEngine &engine,
+                        const std::vector<bool> &selected, int batch_width,
+                        RunSink &sink, BatchStats *stats = nullptr);
 
 /**
- * Execute a scenario on an engine. Results are bit-identical to hand
- * the same runs to ExperimentEngine directly (the spec only *describes*
- * the runs; the engine's determinism guarantees do the rest). A run
- * that throws becomes a RunError in the returned results; every other
- * run's result is still delivered.
+ * Execute a scenario on an engine: every run, through
+ * runLoweredScenario() at @p batch_width (default: whole classes).
+ * Results are bit-identical to handing the same runs to
+ * ExperimentEngine::run() one by one (pinned by gtest, by the goldens at
+ * the scalar tolerance and by a byte comparison of the result files
+ * with `--batch 1`). A run that throws becomes a RunError in the
+ * returned results; every other run's result is still delivered.
+ * @p stats, when non-null, accumulates the grid's batch counters.
  */
 ScenarioResults runScenario(const ScenarioSpec &spec,
-                            ExperimentEngine &engine);
+                            ExperimentEngine &engine, int batch_width = 0,
+                            BatchStats *stats = nullptr);
 
 /** Convenience overload: a default-sized engine (MEMTHERM_THREADS). */
 ScenarioResults runScenario(const ScenarioSpec &spec);
-
-/**
- * Execute a scenario through the engine's batched path: runs inside one
- * policy-independent equivalence class (LoweredScenario::classes) share
- * their simulated prefix, in chunks of up to @p batch_width runs
- * (< 1 = one chunk per class) until their DTM decisions differ. A fork
- * is an exact copy of the run's state, so every batched run is
- * bit-identical to its scalar twin (pinned by gtest, by the goldens at
- * the scalar tolerance and by a byte comparison of the result files).
- * @p stats, when non-null, accumulates the grid's batch counters.
- */
-ScenarioResults runScenarioBatched(const ScenarioSpec &spec,
-                                   ExperimentEngine &engine,
-                                   int batch_width,
-                                   BatchStats *stats = nullptr);
 
 /**
  * Version of the result-document schema this binary writes. Version 1
@@ -444,6 +484,16 @@ Json toJson(const SimResult &r, bool traces = false);
 void writeJson(JsonTextWriter &out, const SimResult &r, bool traces = false);
 Json toJson(const SuiteResults &r, bool traces = false);
 Json toJson(const ScenarioResults &r, bool traces = false);
+
+/**
+ * A results document from its parts, in member order: `scenario`,
+ * `schema_version` (only when @p schema_version > 1, the minimum
+ * version the document's results imply), `points`, and `errors` (only
+ * when non-empty). toJson(ScenarioResults) and mergeStreams() both
+ * build through it, so a merged stream cannot drift from `run -o`.
+ */
+Json resultDocument(const std::string &scenario, int schema_version,
+                    Json points, const std::vector<RunError> &errors);
 
 } // namespace memtherm
 

@@ -14,6 +14,8 @@
 
 #include <cmath>
 #include <memory>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "common/logging.hh"
@@ -522,6 +524,68 @@ TEST(RunBatched, PolicyBuildFailureIsIsolated)
     expectIdentical(sink.results[2], reference[1]);
 }
 
+/** Delegates to a registry policy; throws on its @c throwAt-th decide(). */
+class FaultyPolicy : public DtmPolicy
+{
+  public:
+    FaultyPolicy(std::unique_ptr<DtmPolicy> inner, int throw_at)
+        : inner(std::move(inner)), throwAt(throw_at)
+    {
+    }
+
+    DtmAction decide(const ThermalReading &r, Seconds now) override
+    {
+        if (++calls == throwAt)
+            throw std::runtime_error("decide() failed on purpose");
+        return inner->decide(r, now);
+    }
+    std::string name() const override { return inner->name(); }
+    void reset() override { inner->reset(); }
+
+  private:
+    std::unique_ptr<DtmPolicy> inner;
+    int throwAt;
+    int calls = 0;
+};
+
+/**
+ * A policy that throws mid-simulation inside a shared class fails only
+ * its own run: the chunk's other members are rerun alone and deliver
+ * the bits of their unshared runs.
+ */
+TEST(RunBatched, MidRunFailureFailsOnlyItsRun)
+{
+    const SimConfig cfg = batchyConfig();
+    const Workload mix = workloadMix("W1");
+    auto runs = classRuns(cfg, mix,
+                          {"No-limit", "DTM-TS", "DTM-BW", "DTM-ACG"});
+    const std::size_t faulty = 2;
+    runs[faulty].factory = [](const SimConfig &c, const std::string &name) {
+        return std::make_unique<FaultyPolicy>(
+            PolicyRegistry::instance().make(name, contextOf(c)), 5);
+    };
+    const std::vector<ExperimentEngine::RunClass> classes{
+        {0, runs.size()}};
+
+    ExperimentEngine serial(1);
+    TestSink reference(runs.size());
+    serial.run(runs, reference);
+    ASSERT_EQ(reference.failed, (std::vector<std::size_t>{faulty}));
+
+    for (int threads : {1, 3}) {
+        ExperimentEngine engine(threads);
+        TestSink sink(runs.size());
+        engine.runBatched(runs, classes, 0, sink, nullptr);
+        EXPECT_EQ(sink.failed, (std::vector<std::size_t>{faulty}));
+        for (std::size_t i = 0; i < runs.size(); ++i) {
+            if (i == faulty)
+                continue;
+            ASSERT_TRUE(sink.ok[i]) << "run " << i;
+            expectIdentical(sink.results[i], reference.results[i]);
+        }
+    }
+}
+
 TEST(RunBatched, RejectsNonTilingClasses)
 {
     SimConfig cfg = makeCh4Config(coolingAohs15(), false);
@@ -575,8 +639,8 @@ TEST(Scenario, PlatformScenariosGetSingletonClasses)
     }
 }
 
-/** Scenario-level: batched execution equals scalar, run for run. */
-TEST(Scenario, RunScenarioBatchedMatchesScalar)
+/** Scenario-level: every sharing width equals unshared, run for run. */
+TEST(Scenario, EverySharingWidthMatchesUnshared)
 {
     ScenarioSpec spec;
     spec.name = "batched_vs_scalar";
@@ -587,26 +651,29 @@ TEST(Scenario, RunScenarioBatchedMatchesScalar)
     spec.sensorSeed = 77;
 
     ExperimentEngine engine(2);
-    ScenarioResults scalar = runScenario(spec, engine);
-    BatchStats stats;
-    ScenarioResults batched =
-        runScenarioBatched(spec, engine, 4, &stats);
-
+    BatchStats unshared_stats;
+    ScenarioResults scalar = runScenario(spec, engine, 1, &unshared_stats);
     ASSERT_TRUE(scalar.errors.empty());
-    ASSERT_TRUE(batched.errors.empty());
-    ASSERT_EQ(batched.points.size(), scalar.points.size());
-    for (std::size_t p = 0; p < scalar.points.size(); ++p) {
-        EXPECT_EQ(batched.points[p].label, scalar.points[p].label);
-        for (const auto &[w, by_policy] : scalar.points[p].suite) {
-            for (const auto &[pol, r] : by_policy) {
-                ASSERT_TRUE(
-                    batched.points[p].suite.at(w).count(pol));
-                expectIdentical(batched.points[p].suite.at(w).at(pol),
-                                r);
+    EXPECT_EQ(unshared_stats.hitRate(), 0.0);
+
+    for (int width : {0, 2, 4}) {
+        BatchStats stats;
+        ScenarioResults batched = runScenario(spec, engine, width, &stats);
+        ASSERT_TRUE(batched.errors.empty());
+        ASSERT_EQ(batched.points.size(), scalar.points.size());
+        for (std::size_t p = 0; p < scalar.points.size(); ++p) {
+            EXPECT_EQ(batched.points[p].label, scalar.points[p].label);
+            for (const auto &[w, by_policy] : scalar.points[p].suite) {
+                for (const auto &[pol, r] : by_policy) {
+                    ASSERT_TRUE(
+                        batched.points[p].suite.at(w).count(pol));
+                    expectIdentical(batched.points[p].suite.at(w).at(pol),
+                                    r);
+                }
             }
         }
+        EXPECT_GT(stats.hitRate(), 0.0) << "width " << width;
     }
-    EXPECT_GT(stats.hitRate(), 0.0);
 }
 
 } // namespace

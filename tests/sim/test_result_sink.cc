@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -181,6 +182,63 @@ TEST(ResultStream, ResumeSkipsCompletedAndDropsTornTail)
     stats = runScenarioStream(spec, engine, part);
     EXPECT_EQ(stats.skipped, 4u);
     EXPECT_EQ(stats.executed, 0u);
+}
+
+/**
+ * Resume under prefix sharing: a stream missing arbitrary members of
+ * several equivalence classes (one class entirely) resumes at the
+ * default width, sharing within each class's missing members, and
+ * merges to the bytes of the unshared (`--batch 1`) document.
+ */
+TEST(ResultStream, ResumeUnderSharingMergesToTheUnsharedDocument)
+{
+    ScenarioSpec spec = tinySpec();
+    spec.workloads = {"W1", "W2"};
+    spec.policies = {"No-limit", "DTM-TS", "DTM-BW", "DTM-ACG"};
+    ExperimentEngine engine(2);
+    const std::string unshared =
+        toJson(runScenario(spec, engine, 1)).dump(2);
+
+    StreamRunOptions full;
+    full.path = tmpPath("resume_shared_full.jsonl");
+    full.batchWidth = 1;
+    runScenarioStream(spec, engine, full);
+    std::vector<std::string> lines;
+    {
+        std::ifstream in(full.path);
+        std::string line;
+        while (std::getline(in, line))
+            lines.push_back(line);
+    }
+    ASSERT_EQ(lines.size(), 17u); // header + 4 classes x 4 policies
+
+    // Classes are [0,4) [4,8) [8,12) [12,16): drop two members of the
+    // first, all of the second, one of the third, two of the last.
+    const std::vector<std::size_t> dropped{1, 3, 4, 5, 6, 7, 10, 12, 15};
+    StreamRunOptions part;
+    part.path = tmpPath("resume_shared_part.jsonl");
+    {
+        std::ofstream out(part.path, std::ios::binary);
+        out << lines[0] << '\n';
+        for (std::size_t i = 1; i < lines.size(); ++i) {
+            const std::size_t k = static_cast<std::size_t>(
+                Json::parse(lines[i]).at("index").asNumber());
+            if (std::find(dropped.begin(), dropped.end(), k) ==
+                dropped.end())
+                out << lines[i] << '\n';
+        }
+    }
+
+    part.resume = true;
+    StreamRunStats stats = runScenarioStream(spec, engine, part);
+    EXPECT_EQ(stats.skipped, 16u - dropped.size());
+    EXPECT_EQ(stats.executed, dropped.size());
+    EXPECT_EQ(stats.failed, 0u);
+    EXPECT_GT(stats.batch.hitRate(), 0.0); // the missing members shared
+
+    MergedStream merged = mergeStreams({part.path});
+    EXPECT_TRUE(merged.missingRuns.empty());
+    EXPECT_EQ(merged.results.dump(2), unshared);
 }
 
 TEST(ResultStream, ResumeRejectsEditedSpec)

@@ -79,11 +79,12 @@ usage(std::ostream &os, int rc)
           "                       MEMTHERM_THREADS or hardware)\n"
           "      --copies <n>     override the batch depth and drop any\n"
           "                       copies sweep (quick looks, smoke tests)\n"
-          "      --batch <k>      simulate runs that differ only by\n"
-          "                       policy together, up to k at a time,\n"
-          "                       sharing their simulated prefix until\n"
-          "                       their decisions differ (not\n"
-          "                       combinable with --stream)\n"
+          "      --batch <k>      cap prefix sharing at k runs: runs\n"
+          "                       that differ only by policy share\n"
+          "                       their simulated prefix until their\n"
+          "                       decisions differ (default: the whole\n"
+          "                       class; 1 = every run alone; results\n"
+          "                       are identical for every k)\n"
           "      --golden <file>  compare results against a reference\n"
           "                       results JSON; nonzero exit on mismatch\n"
           "      --tol <x>        relative tolerance for --golden\n"
@@ -414,6 +415,57 @@ printFailures(const std::string &cmd, const std::vector<RunError> &errors)
                   << "', workload '" << e.workload << "', policy '"
                   << e.policy << "']: " << e.error << '\n';
     }
+}
+
+/**
+ * The tail of `run` and `merge`: write @p doc to @p out_path, compare it
+ * with @p golden_path, then report @p failures. Failures never hide
+ * completed work (the document is still written and compared), but
+ * they must not exit 0 either. Returns the exit status.
+ */
+int
+finishResults(const std::string &cmd, const Json &doc,
+              const std::string &out_path, const std::string &golden_path,
+              double tol, bool quiet, const std::vector<RunError> &failures)
+{
+    int rc = 0;
+    if (!out_path.empty()) {
+        doc.save(out_path);
+        if (!quiet)
+            std::cout << "wrote " << out_path << '\n';
+    }
+    if (!golden_path.empty()) {
+        Json golden = Json::load(golden_path);
+        (void)resultSchemaVersionOf(golden, cmd + ": '" + golden_path + "'");
+        std::string where, detail;
+        if (!jsonNear(doc, golden, tol, "", where, detail)) {
+            std::cerr << cmd << ": results diverge from '" << golden_path
+                      << "' at " << where << ": " << detail << " (tol "
+                      << tol << ")\n";
+            rc = 1;
+        } else if (!quiet) {
+            std::cout << "results match " << golden_path << " (tol " << tol
+                      << ")\n";
+        }
+    }
+    if (!failures.empty()) {
+        printFailures(cmd, failures);
+        rc = 1;
+    }
+    return rc;
+}
+
+/** What prefix sharing bought a run (0 @p width: whole classes). */
+void
+printSharing(int width, const BatchStats &stats)
+{
+    std::cout << "batch width "
+              << (width > 0 ? std::to_string(width) : "class") << ": "
+              << Json::numberToString(stats.simulatedWindows) << " of "
+              << Json::numberToString(stats.logicalWindows)
+              << " window(s) simulated, prefix hit rate "
+              << Json::numberToString(stats.hitRate()) << ", "
+              << stats.forks << " fork(s)\n";
 }
 
 /**
@@ -913,43 +965,8 @@ cmdMerge(const std::vector<std::string> &args)
                   << " run(s), " << merged.errors.size()
                   << " failure record(s)\n";
     }
-    if (!out_path.empty()) {
-        merged.results.save(out_path);
-        if (!quiet)
-            std::cout << "wrote " << out_path << '\n';
-    }
-
-    int rc = 0;
-    if (!golden_path.empty()) {
-        Json golden = Json::load(golden_path);
-        (void)resultSchemaVersionOf(golden, "memtherm merge: '" +
-                                                golden_path + "'");
-        std::string where, detail;
-        if (!jsonNear(merged.results, golden, tol, "", where, detail)) {
-            std::cerr << "memtherm merge: results diverge from '"
-                      << golden_path << "' at " << where << ": " << detail
-                      << " (tol " << tol << ")\n";
-            rc = 1;
-        } else if (!quiet) {
-            std::cout << "results match " << golden_path << " (tol " << tol
-                      << ")\n";
-        }
-    }
-    if (!merged.errors.empty()) {
-        std::vector<RunError> errors;
-        for (const auto &rec : merged.errors) {
-            RunError e;
-            e.index = rec.index;
-            e.point = rec.point;
-            e.workload = rec.workload;
-            e.policy = rec.policy;
-            e.error = rec.error;
-            errors.push_back(std::move(e));
-        }
-        printFailures("memtherm merge", errors);
-        rc = 1;
-    }
-    return rc;
+    return finishResults("memtherm merge", merged.results, out_path,
+                         golden_path, tol, quiet, merged.errors);
 }
 
 int
@@ -1036,11 +1053,6 @@ cmdRun(const std::vector<std::string> &args)
         fatal("memtherm run: --resume and --shard only make sense with "
               "--stream");
     }
-    if (batch_width > 0 && !stream_path.empty()) {
-        // A stream's resume/shard bookkeeping is per run; a batch chunk
-        // finishes runs together and would couple their stream records.
-        fatal("memtherm run: --batch is not combinable with --stream");
-    }
     ShardSpec shard;
     if (!shard_text.empty())
         shard = ShardSpec::parse(shard_text);
@@ -1057,13 +1069,15 @@ cmdRun(const std::vector<std::string> &args)
     }
 
     ExperimentEngine engine(threads);
-
+    Json out; // the results document -o and --golden see
+    std::vector<RunError> failures;
     if (!stream_path.empty()) {
         StreamRunOptions sopts;
         sopts.path = stream_path;
         sopts.resume = resume;
         sopts.shard = shard;
         sopts.traces = traces;
+        sopts.batchWidth = batch_width;
         StreamRunStats stats = runScenarioStream(spec, engine, sopts);
 
         if (!quiet) {
@@ -1076,91 +1090,27 @@ cmdRun(const std::vector<std::string> &args)
             std::cout << ", " << stats.skipped << " already complete, "
                       << stats.executed << " executed, " << stats.failed
                       << " failed\n";
+            printSharing(batch_width, stats.batch);
         }
+        failures = std::move(stats.failures);
         // -o/--golden view the stream through the canonical merge, so
         // their bytes cannot differ from `memtherm merge` output.
-        if (!out_path.empty() || !golden_path.empty()) {
-            MergedStream merged = mergeStreams({stream_path});
-            if (!out_path.empty()) {
-                merged.results.save(out_path);
-                if (!quiet)
-                    std::cout << "wrote " << out_path << '\n';
-            }
-            if (!golden_path.empty()) {
-                Json golden = Json::load(golden_path);
-                (void)resultSchemaVersionOf(golden, "memtherm run: '" +
-                                                        golden_path + "'");
-                std::string where, detail;
-                if (!jsonNear(merged.results, golden, tol, "", where,
-                              detail)) {
-                    std::cerr << "memtherm run: results diverge from '"
-                              << golden_path << "' at " << where << ": "
-                              << detail << " (tol " << tol << ")\n";
-                    if (stats.failed)
-                        printFailures("memtherm run", stats.failures);
-                    return 1;
-                }
-                if (!quiet) {
-                    std::cout << "results match " << golden_path
-                              << " (tol " << tol << ")\n";
-                }
-            }
+        if (!out_path.empty() || !golden_path.empty())
+            out = mergeStreams({stream_path}).results;
+    } else {
+        BatchStats batch_stats;
+        ScenarioResults results =
+            runScenario(spec, engine, batch_width, &batch_stats);
+        if (!quiet) {
+            printSharing(batch_width, batch_stats);
+            printSummary(results);
         }
-        if (stats.failed) {
-            printFailures("memtherm run", stats.failures);
-            return 1;
-        }
-        return 0;
+        out = toJson(results, traces);
+        failures = std::move(results.errors);
     }
 
-    BatchStats batch_stats;
-    ScenarioResults results =
-        batch_width > 0
-            ? runScenarioBatched(spec, engine, batch_width, &batch_stats)
-            : runScenario(spec, engine);
-
-    if (!quiet && batch_width > 0) {
-        std::cout << "batch width " << batch_width << ": "
-                  << Json::numberToString(batch_stats.simulatedWindows)
-                  << " of "
-                  << Json::numberToString(batch_stats.logicalWindows)
-                  << " window(s) simulated, prefix hit rate "
-                  << Json::numberToString(batch_stats.hitRate()) << ", "
-                  << batch_stats.forks << " fork(s)\n";
-    }
-    if (!quiet)
-        printSummary(results);
-
-    int rc = 0;
-    Json out = toJson(results, traces);
-    if (!out_path.empty()) {
-        out.save(out_path);
-        if (!quiet)
-            std::cout << "wrote " << out_path << '\n';
-    }
-
-    if (!golden_path.empty()) {
-        Json golden = Json::load(golden_path);
-        (void)resultSchemaVersionOf(golden, "memtherm run: '" +
-                                                golden_path + "'");
-        std::string where, detail;
-        if (!jsonNear(out, golden, tol, "", where, detail)) {
-            std::cerr << "memtherm run: results diverge from '"
-                      << golden_path << "' at " << where << ": " << detail
-                      << " (tol " << tol << ")\n";
-            rc = 1;
-        } else if (!quiet) {
-            std::cout << "results match " << golden_path << " (tol " << tol
-                      << ")\n";
-        }
-    }
-    // Failures never hide completed work (everything above still ran and
-    // wrote), but they must not exit 0 either.
-    if (!results.errors.empty()) {
-        printFailures("memtherm run", results.errors);
-        rc = 1;
-    }
-    return rc;
+    return finishResults("memtherm run", out, out_path, golden_path, tol,
+                         quiet, failures);
 }
 
 } // namespace
