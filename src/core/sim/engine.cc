@@ -152,9 +152,11 @@ ExperimentEngine::runBatched(const std::vector<Run> &runs,
         }
     };
 
-    // Generic so that the failure path below can call it for one run.
-    auto oneChunk = [&](auto &self, const Chunk &ch,
-                        ThermalSimulator::Scratch &s) -> void {
+    // Runs one chunk, charging each member an even share of its wall
+    // time plus prior_s. A shared simulation that throws returns the
+    // members still owed an outcome instead.
+    auto attempt = [&](const Chunk &ch, ThermalSimulator::Scratch &s,
+                       double prior_s) -> std::vector<std::size_t> {
         const auto t0 = clock::now();
 
         // Build one policy per member; a failing build (unknown name,
@@ -170,7 +172,7 @@ ExperimentEngine::runBatched(const std::vector<Run> &runs,
             }
         }
         if (idx.empty())
-            return;
+            return {};
 
         std::vector<DtmPolicy *> ptrs;
         ptrs.reserve(built.size());
@@ -187,25 +189,17 @@ ExperimentEngine::runBatched(const std::vector<Run> &runs,
         } catch (...) {
             err = std::current_exception();
         }
-        if (err && idx.size() > 1) {
-            // A mid-simulation failure poisons the shared lanes, and the
-            // chunk cannot tell whose policy threw. Rerun each member
-            // alone with a freshly built policy, so only the faulty run
-            // reports an error and the others still deliver their exact
-            // results (membership never changes a member's bits).
-            built.clear();
-            for (std::size_t i : idx)
-                self(self, Chunk{i, 1}, s);
-            return;
-        }
+        if (err && idx.size() > 1)
+            return idx;
         const double wall_s =
             std::chrono::duration<double>(clock::now() - t0).count();
         // The chunk's wall time is shared work; apportion it evenly so
         // per-run timings still sum to the grid total.
-        const double share = wall_s / static_cast<double>(idx.size());
+        const double share =
+            wall_s / static_cast<double>(idx.size()) + prior_s;
         if (err) {
             deliver(idx[0], SimResult{}, share, err);
-            return;
+            return {};
         }
         for (std::size_t k = 0; k < idx.size(); ++k)
             deliver(idx[k], std::move(results[k]), share, nullptr);
@@ -213,12 +207,28 @@ ExperimentEngine::runBatched(const std::vector<Run> &runs,
             std::lock_guard<std::mutex> lock(sink_mtx);
             agg.add(chunk_stats);
         }
+        return {};
+    };
+
+    auto oneChunk = [&](const Chunk &ch, ThermalSimulator::Scratch &s) {
+        const auto t0 = clock::now();
+        const std::vector<std::size_t> rerun = attempt(ch, s, 0.0);
+        if (rerun.empty())
+            return;
+        // The chunk cannot tell whose policy threw: rerun each member
+        // alone with a fresh policy, so only the faulty run fails, and
+        // split the failed attempt's time evenly across the reruns.
+        const double lost =
+            std::chrono::duration<double>(clock::now() - t0).count() /
+            static_cast<double>(rerun.size());
+        for (std::size_t i : rerun)
+            attempt(Chunk{i, 1}, s, lost);
     };
 
     if (workers.empty()) {
         ThermalSimulator::Scratch scratch;
         for (const Chunk &ch : chunks)
-            oneChunk(oneChunk, ch, scratch);
+            oneChunk(ch, scratch);
     } else {
         // Completion state lives on this frame; `done` is guarded by
         // done_mtx (not an atomic) so this call cannot observe the grid
@@ -233,7 +243,7 @@ ExperimentEngine::runBatched(const std::vector<Run> &runs,
             std::lock_guard<std::mutex> lock(mtx);
             for (const Chunk &ch : chunks) {
                 queue.emplace_back([&, ch](ThermalSimulator::Scratch &s) {
-                    oneChunk(oneChunk, ch, s);
+                    oneChunk(ch, s);
                     std::lock_guard<std::mutex> dlock(done_mtx);
                     if (++done == chunks.size())
                         done_cv.notify_all();

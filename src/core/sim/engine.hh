@@ -152,11 +152,11 @@ class ExperimentEngine
      * (only the policy may differ); violating that is the caller's bug
      * and produces wrong results, which is why only the scenario layer
      * constructs classes. A chunk of one run is ThermalSimulator::run().
-     * A failure while building one run's policy fails only that run. A
-     * failure inside a shared simulation reruns each member of the
-     * chunk alone with a freshly built policy, so only the faulty run
-     * fails. @p batch_width < 1 means "whole class in one chunk".
-     * Members of a chunk report the chunk's wall time split evenly.
+     * A failing policy build fails only its run; a throw inside a shared
+     * simulation reruns each member alone with a fresh policy, so only
+     * the faulty run fails. @p batch_width < 1 means "whole class in one
+     * chunk". Members report the chunk's wall time split evenly, plus,
+     * after a rerun, an even share of the failed attempt.
      * @p stats, when non-null, accumulates the batch counters across
      * all chunks.
      */

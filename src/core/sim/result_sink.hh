@@ -192,8 +192,8 @@ struct StreamRunOptions
     bool resume = false;  ///< continue an existing stream
     ShardSpec shard;      ///< this invocation's slice of the grid
     bool traces = false;  ///< embed full traces in result lines
-    /// Prefix-sharing width cap (runLoweredScenario()): < 1 shares
-    /// across whole classes, 1 runs every run alone.
+    /// Prefix-sharing width cap (runLoweredScenario()): < 1 picks
+    /// defaultShareWidth(), 1 runs every run alone.
     int batchWidth = 0;
 };
 

@@ -1734,6 +1734,27 @@ GridIndex::error(std::size_t k, std::exception_ptr err) const
     return e;
 }
 
+int
+defaultShareWidth(const std::vector<ExperimentEngine::RunClass> &classes,
+                  int threads)
+{
+    std::size_t runs = 0, widest = 1;
+    for (const ExperimentEngine::RunClass &c : classes) {
+        runs += c.count;
+        widest = std::max(widest, c.count);
+    }
+    const std::size_t share = runs / static_cast<std::size_t>(threads);
+    const std::size_t w = std::clamp<std::size_t>(share, 1, widest);
+    // The narrowest width that keeps every class's chunk count evens the
+    // chunks out at no loss of sharing.
+    std::size_t even = 1;
+    for (const ExperimentEngine::RunClass &c : classes) {
+        const std::size_t k = (c.count + w - 1) / w;
+        even = std::max(even, (c.count + k - 1) / k);
+    }
+    return static_cast<int>(even);
+}
+
 void
 runLoweredScenario(const LoweredScenario &low, ExperimentEngine &engine,
                    const std::vector<bool> &selected, int batch_width,
@@ -1769,7 +1790,10 @@ runLoweredScenario(const LoweredScenario &low, ExperimentEngine &engine,
     }
 
     GlobalIndexSink mapped(sink, global);
-    engine.runBatched(todo, classes, batch_width, mapped, stats);
+    const int width = batch_width >= 1
+                          ? batch_width
+                          : defaultShareWidth(classes, engine.threads());
+    engine.runBatched(todo, classes, width, mapped, stats);
 }
 
 ScenarioResults

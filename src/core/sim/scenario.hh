@@ -408,36 +408,34 @@ struct ScenarioResults
 };
 
 /**
- * The scenario layer's one execution path, behind runScenario() and
- * runScenarioStream(): flatten @p low's runs into global grid order,
- * apply fault injection to the full list (when MEMTHERM_FAULT_FAIL_RUN
- * holds a global run index, that run's policy factory throws, so the
- * index means the same run under every shard and resume), keep the
- * runs @p selected marks (one flag per global index), and execute them
- * in one
- * ExperimentEngine::runBatched() call. Each equivalence class is
- * restricted to its selected members (empty classes drop out), so runs
- * that differ only by policy share their simulated prefix in chunks of
- * up to @p batch_width runs (< 1 = the whole class; 1 = no sharing)
- * until their DTM decisions differ. A fork is an exact copy of the
- * run's state and class membership never changes a member's bits, so
- * every width and every selection gives each run the bits of its
- * unshared twin. @p sink receives global run indices; @p stats, when
- * non-null, accumulates the batch counters.
+ * Default prefix-sharing width on @p threads (>= 1) engine threads. A
+ * chunk is one pool task, so it holds at most one thread's even share
+ * of the runs (runs / threads, and no more than the widest class),
+ * narrowed so each class splits evenly: whole classes on one thread.
+ */
+int defaultShareWidth(const std::vector<ExperimentEngine::RunClass> &classes,
+                      int threads);
+
+/**
+ * The scenario layer's one execution path: flatten @p low's runs in
+ * global grid order, apply MEMTHERM_FAULT_FAIL_RUN (a global run index
+ * whose policy factory then throws, so it names the same run under
+ * every shard and resume), keep the runs @p selected marks, restrict
+ * each equivalence class to them and make one
+ * ExperimentEngine::runBatched() call at @p batch_width (1 = unshared,
+ * < 1 = defaultShareWidth() on @p engine's threads). Class membership
+ * never changes a member's bits, so every width and selection gives
+ * each run the bits of its unshared twin. @p sink receives global run
+ * indices; @p stats, when non-null, accumulates the batch counters.
  */
 void runLoweredScenario(const LoweredScenario &low, ExperimentEngine &engine,
                         const std::vector<bool> &selected, int batch_width,
                         RunSink &sink, BatchStats *stats = nullptr);
 
 /**
- * Execute a scenario on an engine: every run, through
- * runLoweredScenario() at @p batch_width (default: whole classes).
- * Results are bit-identical to handing the same runs to
- * ExperimentEngine::run() one by one (pinned by gtest, by the goldens at
- * the scalar tolerance and by a byte comparison of the result files
- * with `--batch 1`). A run that throws becomes a RunError in the
- * returned results; every other run's result is still delivered.
- * @p stats, when non-null, accumulates the grid's batch counters.
+ * Execute every run of a scenario through runLoweredScenario(). A run
+ * that throws becomes a RunError in the returned results; every other
+ * run's result is still delivered.
  */
 ScenarioResults runScenario(const ScenarioSpec &spec,
                             ExperimentEngine &engine, int batch_width = 0,

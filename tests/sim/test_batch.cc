@@ -600,6 +600,37 @@ TEST(RunBatched, RejectsNonTilingClasses)
                  PanicError);
 }
 
+/**
+ * The default width holds a chunk to one thread's even share of the
+ * runs and splits classes evenly: whole classes on one thread, no
+ * sharing when the runs barely cover the threads.
+ */
+TEST(Scenario, DefaultShareWidthHoldsChunksToAThreadsShare)
+{
+    using Classes = std::vector<ExperimentEngine::RunClass>;
+    const Classes one_of_8{{0, 8}};
+    const Classes one_of_9{{0, 9}};
+    const Classes four_of_2{{0, 2}, {2, 2}, {4, 2}, {6, 2}};
+    const Classes four_of_3{{0, 3}, {3, 3}, {6, 3}, {9, 3}};
+    const Classes uneven{{0, 5}, {5, 1}};
+    const Classes singles{{0, 1}, {1, 1}, {2, 1}};
+
+    EXPECT_EQ(defaultShareWidth(one_of_8, 1), 8);
+    EXPECT_EQ(defaultShareWidth(four_of_2, 1), 2);
+    EXPECT_EQ(defaultShareWidth(uneven, 1), 5);
+    EXPECT_EQ(defaultShareWidth(one_of_8, 2), 4);
+    EXPECT_EQ(defaultShareWidth(one_of_9, 2), 3); // 3+3+3, not 4+4+1
+    EXPECT_EQ(defaultShareWidth(one_of_8, 3), 2);
+    EXPECT_EQ(defaultShareWidth(one_of_8, 4), 2);
+    EXPECT_EQ(defaultShareWidth(one_of_8, 16), 1);
+    EXPECT_EQ(defaultShareWidth(four_of_2, 4), 2);
+    EXPECT_EQ(defaultShareWidth(four_of_2, 8), 1);
+    EXPECT_EQ(defaultShareWidth(four_of_3, 4), 3);
+    EXPECT_EQ(defaultShareWidth(uneven, 4), 1);
+    EXPECT_EQ(defaultShareWidth(singles, 4), 1);
+    EXPECT_EQ(defaultShareWidth({}, 4), 1);
+}
+
 /** lower() derives one class per (point, workload), policy-fastest. */
 TEST(Scenario, EquivalenceClassesFromLowering)
 {

@@ -79,12 +79,10 @@ usage(std::ostream &os, int rc)
           "                       MEMTHERM_THREADS or hardware)\n"
           "      --copies <n>     override the batch depth and drop any\n"
           "                       copies sweep (quick looks, smoke tests)\n"
-          "      --batch <k>      cap prefix sharing at k runs: runs\n"
-          "                       that differ only by policy share\n"
-          "                       their simulated prefix until their\n"
-          "                       decisions differ (default: the whole\n"
-          "                       class; 1 = every run alone; results\n"
-          "                       are identical for every k)\n"
+          "      --batch <k>      share prefixes in chunks of up to k\n"
+          "                       runs (default: a thread's share of\n"
+          "                       the runs; 1 = unshared; results are\n"
+          "                       identical for every k)\n"
           "      --golden <file>  compare results against a reference\n"
           "                       results JSON; nonzero exit on mismatch\n"
           "      --tol <x>        relative tolerance for --golden\n"
@@ -179,6 +177,22 @@ cmdList(const std::vector<std::string> &args)
     return 0;
 }
 
+/** @p v read whole as a number; FatalError "<opt> needs a number". */
+double
+parseNumber(const std::string &opt, const std::string &v)
+{
+    std::size_t used = 0;
+    double x = 0.0;
+    try {
+        x = std::stod(v, &used);
+    } catch (const std::exception &) {
+        used = 0;
+    }
+    if (used != v.size())
+        fatal(opt + " needs a number, got '" + v + "'");
+    return x;
+}
+
 int
 cmdTrace(const std::vector<std::string> &args)
 {
@@ -235,18 +249,10 @@ cmdTrace(const std::vector<std::string> &args)
                 fatal("memtherm trace gen: --block must be in "
                       "[1, 2^32-1]");
             cfg.blockSize = static_cast<std::uint32_t>(b);
-        } else if (a == "--read-pct") {
-            std::string v = next("--read-pct");
-            std::size_t used = 0;
-            try {
-                cfg.readPct = std::stod(v, &used);
-            } catch (const std::exception &) {
-                used = 0;
-            }
-            if (used != v.size())
-                fatal("memtherm trace gen: --read-pct needs a number, "
-                      "got '" + v + "'");
-        } else
+        } else if (a == "--read-pct")
+            cfg.readPct = parseNumber("memtherm trace gen: --read-pct",
+                                      next("--read-pct"));
+        else
             fatal("memtherm trace gen: unknown option '" + a + "'");
     }
     if (out_path.empty())
@@ -455,12 +461,12 @@ finishResults(const std::string &cmd, const Json &doc,
     return rc;
 }
 
-/** What prefix sharing bought a run (0 @p width: whole classes). */
+/** What prefix sharing bought a run (0 @p width: defaultShareWidth()). */
 void
 printSharing(int width, const BatchStats &stats)
 {
     std::cout << "batch width "
-              << (width > 0 ? std::to_string(width) : "class") << ": "
+              << (width > 0 ? std::to_string(width) : "auto") << ": "
               << Json::numberToString(stats.simulatedWindows) << " of "
               << Json::numberToString(stats.logicalWindows)
               << " window(s) simulated, prefix hit rate "
@@ -915,18 +921,9 @@ cmdMerge(const std::vector<std::string> &args)
             out_path = next("-o");
         else if (a == "--golden")
             golden_path = next("--golden");
-        else if (a == "--tol") {
-            std::string v = next("--tol");
-            std::size_t used = 0;
-            try {
-                tol = std::stod(v, &used);
-            } catch (const std::exception &) {
-                used = 0;
-            }
-            if (used != v.size())
-                fatal("memtherm merge: --tol needs a number, got '" + v +
-                      "'");
-        } else if (a == "--quiet")
+        else if (a == "--tol")
+            tol = parseNumber("memtherm merge: --tol", next("--tol"));
+        else if (a == "--quiet")
             quiet = true;
         else if (!a.empty() && a[0] == '-')
             fatal("memtherm merge: unknown option '" + a + "'");
@@ -1004,20 +1001,6 @@ cmdRun(const std::vector<std::string> &args)
                       " needs a positive integer, got '" + v + "'");
             return n;
         };
-        auto nextDouble = [&](const char *opt) {
-            std::string v = next(opt);
-            std::size_t used = 0;
-            double x = 0.0;
-            try {
-                x = std::stod(v, &used);
-            } catch (const std::exception &) {
-                used = 0;
-            }
-            if (used != v.size())
-                fatal(std::string("memtherm run: ") + opt +
-                      " needs a number, got '" + v + "'");
-            return x;
-        };
         if (a == "-o")
             out_path = next("-o");
         else if (a == "--stream")
@@ -1029,7 +1012,7 @@ cmdRun(const std::vector<std::string> &args)
         else if (a == "--golden")
             golden_path = next("--golden");
         else if (a == "--tol")
-            tol = nextDouble("--tol");
+            tol = parseNumber("memtherm run: --tol", next("--tol"));
         else if (a == "--threads")
             threads = nextPosInt("--threads");
         else if (a == "--copies")
