@@ -88,6 +88,54 @@ BM_SolvePerfWindowCapLimited(benchmark::State &state)
     state.SetItemsProcessed(state.iterations());
 }
 
+/// Windows a phase benchmark cycles through: the table's reserve, so
+/// the lookups never grow it.
+constexpr std::size_t kPhaseWindows = PhaseFactorTable::kReserve;
+
+void
+BM_PhaseFactor4(benchmark::State &state)
+{
+    // The per-window phase factors of a 4-core W1 window as direct
+    // calls: one sin per scheduled copy, at its accumulated CPU time.
+    const Workload w1 = workloadMix("W1");
+    double t[4] = {0.0, 0.0, 0.0, 0.0};
+    std::size_t k = 0;
+    for (auto _ : state) {
+        for (int i = 0; i < 4; ++i) {
+            benchmark::DoNotOptimize(phaseFactor(*w1.apps[i], t[i]));
+            t[i] += 0.01;
+        }
+        if (++k == kPhaseWindows) {
+            k = 0;
+            for (double &ti : t)
+                ti = 0.0;
+        }
+    }
+    state.SetItemsProcessed(state.iterations());
+}
+
+void
+BM_PhaseTable4(benchmark::State &state)
+{
+    // The same four factors as lookups in a filled PhaseFactorTable, as
+    // the window loop reads them.
+    const Workload w1 = workloadMix("W1");
+    PhaseFactorTable table;
+    std::size_t key[4];
+    for (int i = 0; i < 4; ++i) {
+        key[i] = table.key(*w1.apps[i], 0.01);
+        table.at(key[i], kPhaseWindows - 1);
+    }
+    std::size_t k = 0;
+    for (auto _ : state) {
+        for (int i = 0; i < 4; ++i)
+            benchmark::DoNotOptimize(table.at(key[i], k));
+        if (++k == kPhaseWindows)
+            k = 0;
+    }
+    state.SetItemsProcessed(state.iterations());
+}
+
 void
 BM_MemoryThermalAdvance(benchmark::State &state)
 {
@@ -120,6 +168,8 @@ BENCHMARK(BM_SolvePerfWindowUnsaturated);
 BENCHMARK(BM_SolvePerfWindowSaturated);
 BENCHMARK(BM_SolvePerfWindowOneTask);
 BENCHMARK(BM_SolvePerfWindowCapLimited);
+BENCHMARK(BM_PhaseFactor4);
+BENCHMARK(BM_PhaseTable4);
 BENCHMARK(BM_MemoryThermalAdvance);
 BENCHMARK(BM_MemSpotWindow)->Unit(benchmark::kMillisecond);
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -122,11 +123,16 @@ ThermalSimulator::Lane::Lane(const SimConfig &cfg, const Workload &mix,
     // edge engages from the first window.
     mem.resetToStable(0.0, 0.0, ambient.temperature());
 
+    sched.reserve(slot.size());
     if (!cfg.refresh.empty()) {
         const std::size_t n =
             static_cast<std::size_t>(cfg.org.nDimmsPerChannel);
         res.refreshBwLossPerDimm.assign(n, 0.0);
         res.refreshEnergyPerDimm.assign(n, 0.0);
+        derating.band.assign(n, 0);
+        derating.power.assign(n, 0.0);
+        derating.lossAdd.assign(n, 0.0);
+        derating.energyAdd.assign(n, 0.0);
     }
     if (cfg.bankGrid) {
         res.bankGridX = cfg.bankGrid->x;
@@ -137,14 +143,16 @@ ThermalSimulator::Lane::Lane(const SimConfig &cfg, const Workload &mix,
 }
 
 void
+ThermalSimulator::Schedule::reserve(std::size_t cores)
+{
+    entries.reserve(cores);
+    tasks.reserve(cores);
+}
+
+void
 ThermalSimulator::reserveScratch(Scratch &scratch) const
 {
     const std::size_t n_cores = static_cast<std::size_t>(cfg.nCores);
-    scratch.occupied.reserve(n_cores);
-    scratch.scheduled.reserve(n_cores);
-    scratch.sharers.reserve(n_cores);
-    scratch.tasks.reserve(n_cores);
-    scratch.taskMpki.reserve(n_cores);
     scratch.activities.reserve(n_cores);
     scratch.perf.ips.reserve(n_cores);
     scratch.perf.taskTraffic.reserve(n_cores);
@@ -173,9 +181,104 @@ ThermalSimulator::applyDecision(Lane &lane, const DtmAction &a) const
     if (!a.trafficShares.empty()) {
         double moved = lane.mem.setTrafficShares(a.trafficShares);
         lane.remapBurstGb = moved * cfg.remapCostGbPerShare;
+        lane.derating.stale = true;
     }
     lane.nextDtm += cfg.dtmInterval;
     lane.decided = true;
+}
+
+void
+ThermalSimulator::buildSchedule(Lane &lane, Scratch &scratch) const
+{
+    Schedule &sched = lane.sched;
+    const std::vector<int> &slot = lane.slot;
+    const std::size_t n_occupied = static_cast<std::size_t>(std::count_if(
+        slot.begin(), slot.end(), [](int p) { return p >= 0; }));
+    sched.stale = false;
+    sched.activeCores = lane.action.activeCores;
+    sched.nActive = std::clamp(sched.activeCores, 0,
+                               static_cast<int>(n_occupied));
+    sched.timeShared = sched.nActive > 0 &&
+                       sched.nActive < static_cast<int>(n_occupied);
+
+    // --- pick the slots that run: the occupied ones at positions
+    // rotation, rotation + 1, ..., rotation + nActive - 1 (mod the
+    // occupied count), in ascending slot order.
+    sched.entries.clear();
+    const std::size_t n_active = static_cast<std::size_t>(sched.nActive);
+    const std::size_t first = n_occupied ? lane.rotation % n_occupied : 0;
+    std::size_t pos = 0;
+    for (std::size_t i = 0; i < slot.size(); ++i) {
+        if (slot[i] < 0)
+            continue;
+        if ((pos + n_occupied - first) % n_occupied < n_active) {
+            Schedule::Entry e;
+            e.slot = i;
+            e.pool = slot[i];
+            sched.entries.push_back(e);
+        }
+        ++pos;
+    }
+
+    // --- per-task inputs ---------------------------------------------
+    // L2 sharers — Chapter 4: one shared L2 across all cores. Chapter 5:
+    // one L2 per 2-core socket.
+    sched.tasks.clear();
+    for (Schedule::Entry &e : sched.entries) {
+        int sharers = static_cast<int>(sched.entries.size());
+        if (cfg.perSocketL2) {
+            sharers = 0;
+            for (const Schedule::Entry &o : sched.entries)
+                if (o.slot / 2 == e.slot / 2)
+                    ++sharers;
+        }
+        const BatchJob::Instance *inst = lane.batch.at(e.pool);
+        const AppDescriptor &app = *inst->app;
+        const std::size_t row = lane.inputs.row(inst->app);
+        e.sharedMpki = lane.inputs.mpkiAt(row, sharers);
+        if (sched.timeShared)
+            e.switchCost = lane.inputs.switchCost(row);
+        e.phase = scratch.phases.key(app, cfg.window);
+        CoreTask task;
+        task.cpiCore = app.cpiCore;
+        task.writeFrac = app.writeFrac;
+        task.specFrac = app.specFrac;
+        task.mlpOverlap = app.mlpOverlap;
+        sched.tasks.push_back(task);
+    }
+}
+
+void
+ThermalSimulator::buildDerating(Lane &lane) const
+{
+    // Each DIMM's band steals its bandwidth fraction from the DIMM's
+    // share of the sustainable bandwidth and scales the idle latency
+    // (AL-DRAM timing margins); its refresh power rides on the DIMM's
+    // DRAM devices in the thermal model's power evaluation.
+    RefreshDerating &d = lane.derating;
+    const std::vector<double> &shares = lane.mem.trafficShares();
+    const std::size_t n_dimms = d.band.size();
+    const Seconds dt = cfg.window;
+    double loss_frac = 0.0;
+    double lat_mult = 0.0;
+    for (std::size_t i = 0; i < n_dimms; ++i) {
+        const RefreshBand &band = cfg.refresh.bands[d.band[i]];
+        const double share =
+            shares.empty() ? 1.0 / static_cast<double>(n_dimms)
+                           : shares[i];
+        loss_frac += share * band.bwFraction;
+        lat_mult += share * band.latencyMult;
+        d.power[i] = band.dramPower;
+        d.lossAdd[i] = cfg.memPerf.peakBandwidth *
+                       cfg.memPerf.maxUtilization * share *
+                       band.bwFraction * dt;
+        d.energyAdd[i] = band.dramPower * dt;
+    }
+    d.perf = cfg.memPerf;
+    d.perf.peakBandwidth *= std::max(0.0, 1.0 - loss_frac);
+    d.perf.idleLatencyNs *= lat_mult;
+    lane.mem.setRefreshDramPower(d.power);
+    d.stale = false;
 }
 
 void
@@ -185,12 +288,8 @@ ThermalSimulator::windowPre(Lane &lane, Scratch &scratch) const
     const Seconds eps = dt * 1e-6;
     const GHz fmax = cfg.dvfs.maxFreq();
 
-    std::vector<int> &slot = lane.slot;
-    std::vector<std::size_t> &occupied = scratch.occupied;
-    std::vector<std::size_t> &scheduled = scratch.scheduled;
-    std::vector<int> &sharers = scratch.sharers;
-    std::vector<CoreTask> &tasks = scratch.tasks;
-    std::vector<double> &task_mpki = scratch.taskMpki;
+    Schedule &sched = lane.sched;
+    std::vector<CoreTask> &tasks = sched.tasks;
     std::vector<double> &activities = scratch.activities;
     WindowPerf &perf = scratch.perf;
 
@@ -198,59 +297,24 @@ ThermalSimulator::windowPre(Lane &lane, Scratch &scratch) const
     if (lane.t + eps >= lane.nextRotation) {
         ++lane.rotation;
         lane.nextRotation += cfg.rotationSlice;
+        // Without time-sharing every occupied slot runs, whatever the
+        // rotation.
+        if (sched.timeShared)
+            sched.stale = true;
     }
-    occupied.clear();
-    for (std::size_t i = 0; i < slot.size(); ++i)
-        if (slot[i] >= 0)
-            occupied.push_back(i);
+    if (sched.stale || sched.activeCores != lane.action.activeCores)
+        buildSchedule(lane, scratch);
 
-    int n_active = std::clamp(lane.action.activeCores, 0,
-                              static_cast<int>(occupied.size()));
-    bool time_shared =
-        n_active > 0 && n_active < static_cast<int>(occupied.size());
-    scheduled.clear();
-    for (int k = 0; k < n_active; ++k) {
-        std::size_t pick = (lane.rotation + static_cast<std::size_t>(k)) %
-                           occupied.size();
-        scheduled.push_back(occupied[pick]);
-    }
-    std::sort(scheduled.begin(), scheduled.end());
-
-    // --- L2 sharer counts -------------------------------------------
-    // Chapter 4: one shared L2 across all cores. Chapter 5: one L2
-    // per 2-core socket.
-    sharers.assign(scheduled.size(), static_cast<int>(scheduled.size()));
-    if (cfg.perSocketL2) {
-        for (std::size_t i = 0; i < scheduled.size(); ++i) {
-            std::size_t socket = scheduled[i] / 2;
-            int n = 0;
-            for (std::size_t j : scheduled)
-                if (j / 2 == socket)
-                    ++n;
-            sharers[i] = n;
-        }
-    }
-
-    // --- build level-1 window tasks ----------------------------------
+    // --- level-1 window tasks: this window's phase of each copy ------
     const DvfsState &dv = cfg.dvfs.at(lane.action.dvfsLevel);
-    tasks.clear();
-    task_mpki.clear();
-    for (std::size_t i = 0; i < scheduled.size(); ++i) {
-        const BatchJob::Instance *inst = lane.batch.at(slot[scheduled[i]]);
-        const AppDescriptor &app = *inst->app;
-        const std::size_t row = lane.inputs.row(inst->app);
-        double mpki = lane.inputs.mpkiAt(row, sharers[i]) *
-                      phaseFactor(app, inst->cpuTime);
-        if (time_shared)
-            mpki += lane.inputs.switchCost(row);
-        CoreTask task;
-        task.cpiCore = app.cpiCore;
-        task.mpki = mpki;
-        task.writeFrac = app.writeFrac;
-        task.specFrac = app.specFrac;
-        task.mlpOverlap = app.mlpOverlap;
-        tasks.push_back(task);
-        task_mpki.push_back(mpki);
+    for (std::size_t i = 0; i < tasks.size(); ++i) {
+        const Schedule::Entry &e = sched.entries[i];
+        const BatchJob::Instance *inst = lane.batch.at(e.pool);
+        double mpki = e.sharedMpki *
+                      scratch.phases.at(e.phase, inst->scheduledWindows);
+        if (sched.timeShared)
+            mpki += e.switchCost;
+        tasks[i].mpki = mpki;
     }
 
     GBps cap = lane.action.memoryOn ? lane.action.bandwidthCap : 0.0;
@@ -258,39 +322,29 @@ ThermalSimulator::windowPre(Lane &lane, Scratch &scratch) const
         solvePerfWindow(tasks, dv.freq, fmax, cap, cfg.memPerf, perf);
     } else {
         // Refresh feedback (temperature -> performance): each DIMM's
-        // current DRAM temperature selects a refresh band. Refresh
-        // steals the band's bandwidth fraction from the DIMM's share of
-        // the sustainable bandwidth and scales the idle latency
-        // (AL-DRAM timing margins), so the level-1 solve sees a derated
-        // memory system this window; the band's refresh power is staged
-        // into the thermal model's power evaluation below. Re-read
-        // every window, so the rate follows the temperature at window
-        // granularity.
-        lane.mem.currentPerDimm(scratch.refreshAmb, scratch.refreshDram);
-        const std::vector<double> &shares = lane.mem.trafficShares();
-        const std::size_t n_dimms = scratch.refreshDram.size();
-        scratch.refreshPower.resize(n_dimms);
-        double loss_frac = 0.0;
-        double lat_mult = 0.0;
-        for (std::size_t i = 0; i < n_dimms; ++i) {
-            const RefreshBand &band =
-                cfg.refresh.bandAt(scratch.refreshDram[i]);
-            const double share =
-                shares.empty() ? 1.0 / static_cast<double>(n_dimms)
-                               : shares[i];
-            loss_frac += share * band.bwFraction;
-            lat_mult += share * band.latencyMult;
-            scratch.refreshPower[i] = band.dramPower;
-            lane.res.refreshBwLossPerDimm[i] +=
-                cfg.memPerf.peakBandwidth * cfg.memPerf.maxUtilization *
-                share * band.bwFraction * dt;
-            lane.res.refreshEnergyPerDimm[i] += band.dramPower * dt;
+        // current DRAM temperature selects a refresh band, and the
+        // level-1 solve sees the memory system those bands derate
+        // (buildDerating). Bands are re-read every window, so the rate
+        // follows the temperature at window granularity; the derating
+        // is rebuilt only when a band or the shares change.
+        RefreshDerating &d = lane.derating;
+        const std::span<const Celsius> dram = lane.mem.dramTemps();
+        bool changed = d.stale;
+        for (std::size_t i = 0; i < dram.size(); ++i) {
+            const std::size_t band = static_cast<std::size_t>(
+                &cfg.refresh.bandAt(dram[i]) - cfg.refresh.bands.data());
+            if (band != d.band[i]) {
+                d.band[i] = band;
+                changed = true;
+            }
         }
-        MemSystemPerf derated = cfg.memPerf;
-        derated.peakBandwidth *= std::max(0.0, 1.0 - loss_frac);
-        derated.idleLatencyNs *= lat_mult;
-        lane.mem.setRefreshDramPower(scratch.refreshPower);
-        solvePerfWindow(tasks, dv.freq, fmax, cap, derated, perf);
+        if (changed)
+            buildDerating(lane);
+        for (std::size_t i = 0; i < dram.size(); ++i) {
+            lane.res.refreshBwLossPerDimm[i] += d.lossAdd[i];
+            lane.res.refreshEnergyPerDimm[i] += d.energyAdd[i];
+        }
+        solvePerfWindow(tasks, dv.freq, fmax, cap, d.perf, perf);
     }
 
     // DTM control overhead: a decision window loses dtmOverhead of
@@ -303,17 +357,20 @@ ThermalSimulator::windowPre(Lane &lane, Scratch &scratch) const
 
     // --- progress + retirement ---------------------------------------
     double sum_v_ipc = 0.0;
-    for (std::size_t i = 0; i < scheduled.size(); ++i) {
-        BatchJob::Instance *inst = lane.batch.at(slot[scheduled[i]]);
+    for (std::size_t i = 0; i < tasks.size(); ++i) {
+        const Schedule::Entry &e = sched.entries[i];
+        BatchJob::Instance *inst = lane.batch.at(e.pool);
         double instrs = perf.ips[i] * dt * progress_scale;
         inst->remainingInstr -= instrs;
-        inst->cpuTime += dt;
+        ++inst->scheduledWindows;
         lane.res.totalInstr += instrs;
-        lane.res.totalL2Misses += instrs * task_mpki[i] / 1000.0;
+        lane.res.totalL2Misses += instrs * tasks[i].mpki / 1000.0;
         sum_v_ipc += dv.volts * (perf.ips[i] / (fmax * 1e9));
         if (inst->remainingInstr <= 0.0) {
             lane.batch.retire(inst);
-            slot[scheduled[i]] = lane.batch.indexOf(lane.batch.nextPending());
+            lane.slot[e.slot] =
+                lane.batch.indexOf(lane.batch.nextPending());
+            sched.stale = true;
         }
     }
 
@@ -338,7 +395,7 @@ ThermalSimulator::windowPre(Lane &lane, Scratch &scratch) const
     if (cfg.cpuPowerActivity) {
         activities.clear();
         if (lane.action.memoryOn) {
-            for (std::size_t i = 0; i < scheduled.size(); ++i) {
+            for (std::size_t i = 0; i < tasks.size(); ++i) {
                 double cpi_total = dv.freq * 1e9 /
                                    std::max(perf.ips[i], 1.0);
                 activities.push_back(std::clamp(
@@ -350,7 +407,7 @@ ThermalSimulator::windowPre(Lane &lane, Scratch &scratch) const
     } else {
         bool halted = !lane.action.memoryOn;
         cpu_power = cfg.cpuPowerTable.power(
-            halted ? 0 : n_active, lane.action.dvfsLevel, halted);
+            halted ? 0 : sched.nActive, lane.action.dvfsLevel, halted);
     }
 
     Celsius inlet = lane.ambient.advance(sum_v_ipc, cpu_power, dt);
@@ -501,6 +558,10 @@ ThermalSimulator::runBatch(const Workload &mix,
             panicIfNot(work.size() + 1 < n_pol,
                        "runBatch: lane budget exceeded");
             work.push_back(Group{lane, std::move(buckets[b])});
+            // A copied vector holds only its size; give the fork's
+            // schedule room for every core so its rebuilds never
+            // allocate.
+            work.back().lane.sched.reserve(lane.slot.size());
             applyDecision(work.back().lane, actions[uniq[b]]);
             ++local.forks;
         }

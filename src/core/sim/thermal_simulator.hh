@@ -116,44 +116,93 @@ class ThermalSimulator
      * Reusable working memory for run()/runBatch().
      *
      * The window loop executes up to maxSimTime / window (potentially
-     * millions of) iterations; every per-window container lives here so
-     * the steady state performs no heap allocation. Invariants:
-     *  - the loop clears/refills each buffer every window and never reads
-     *    a value left over from a previous window or a previous run, so a
-     *    Scratch may be reused across runs in any order;
-     *  - the one thing kept across runs is the bank-grid slope memo,
-     *    keyed on its full inputs (the grid, weights included, and the
-     *    DIMM count, compared with ==): a run is served slopes only if
-     *    they were resolved from inputs equal to its own, so reuse in
-     *    any order still gives bit-identical results;
-     *  - buffer capacity only grows (bounded by the core count), it is
-     *    never released between windows;
+     * millions of) iterations; every per-window container lives here or
+     * in the Lane, so the steady state performs no heap allocation.
+     * Invariants:
+     *  - the loop refills each buffer before reading it and never reads
+     *    a value left over from a previous window or a previous run, so
+     *    a Scratch may be reused across runs in any order;
+     *  - the two things kept across runs are memos keyed by value on
+     *    their full inputs: the bank-grid slopes (the grid, weights
+     *    included, and the DIMM count, compared with ==) and the phase
+     *    factors (an app's phase fields and the window length, compared
+     *    bit for bit). A run is served only what was computed from
+     *    inputs equal to its own, so reuse in any order still gives
+     *    bit-identical results;
      *  - a Scratch must not be shared by two concurrent run() calls.
      *    The ExperimentEngine keeps one per worker thread, so a worker
-     *    resolves each distinct grid's slopes once for its life.
+     *    resolves each distinct grid's slopes and computes each phase
+     *    profile's factors once for its life.
      *
-     * Per-run state (core job slots, thermal state, RNG, the task-input
-     * memo) lives in Lane, not here, so lanes can be forked without
-     * touching the scratch and a Scratch reused across configs never
-     * serves one run's inputs to another.
+     * Per-run state (core job slots, the schedule, thermal state, RNG,
+     * the task-input memo, the refresh derating) lives in Lane, not
+     * here, so lanes can be forked without touching the scratch and a
+     * Scratch reused across configs never serves one run's inputs to
+     * another.
      */
     struct Scratch
     {
-        std::vector<std::size_t> occupied;  ///< slots holding a job
-        std::vector<std::size_t> scheduled; ///< slots picked to run
-        std::vector<int> sharers;           ///< L2 sharer count per task
-        std::vector<CoreTask> tasks;        ///< level-1 window inputs
-        std::vector<double> taskMpki;       ///< effective mpki per task
         std::vector<double> activities;     ///< per-core activity factors
         WindowPerf perf;                    ///< level-1 window solution
-        // Refresh feedback intermediates (cfg.refresh active only):
-        // per-DIMM current temperatures and the band's refresh power.
-        std::vector<Celsius> refreshAmb;
-        std::vector<Celsius> refreshDram;
-        std::vector<Watts> refreshPower;
         /// Bank-overlay slopes of the last grid run here, shared by
         /// every lane (and fork) built from equal inputs.
         BankSlopeMemo bankSlopes;
+        /// Phase factors of every phase profile and window length run
+        /// here; a lane's schedule holds its tasks' keys.
+        PhaseFactorTable phases;
+    };
+
+    /**
+     * Which program copies run in the current window, and every level-1
+     * input of theirs that only an event changes. Rebuilt (windowPre)
+     * at a retirement, at a rotation slice while cores time-share, and
+     * when the DTM action's active-core count changes; otherwise each
+     * window only rewrites the tasks' mpki from the phase table.
+     */
+    struct Schedule
+    {
+        /// One scheduled program copy.
+        struct Entry
+        {
+            std::size_t slot = 0;  ///< its core slot
+            int pool = -1;         ///< its batch pool index
+            /// mpkiAtSharers at its L2 sharer count (TaskInputTable).
+            double sharedMpki = 0.0;
+            /// Its time-slicing refill mpki; used only when time-shared.
+            double switchCost = 0.0;
+            /// Its PhaseFactorTable key in the run's Scratch.
+            std::size_t phase = PhaseFactorTable::kConstant;
+        };
+
+        bool stale = true;   ///< rebuild before the next window
+        int activeCores = 0; ///< the action's count it was built for
+        int nActive = 0;     ///< cores running (clamped to occupied)
+        bool timeShared = false;
+        std::vector<Entry> entries; ///< by ascending slot
+        /// The level-1 window inputs, one per entry: the app's constant
+        /// fields, mpki rewritten every window.
+        std::vector<CoreTask> tasks;
+
+        /** Room for @p cores entries, so rebuilds never allocate. */
+        void reserve(std::size_t cores);
+    };
+
+    /**
+     * The refresh feedback's current operating point: a function of
+     * each DIMM's refresh band and of the traffic shares only, so it is
+     * rebuilt (and the thermal model's refresh power set) only when one
+     * of them changes, not every window.
+     */
+    struct RefreshDerating
+    {
+        bool stale = true;              ///< shares changed: rebuild
+        std::vector<std::size_t> band;  ///< per-DIMM band index
+        MemSystemPerf perf;             ///< the derated memory system
+        std::vector<Watts> power;       ///< per-DIMM refresh power
+        /// Per-DIMM addends of one window to the result's refresh
+        /// bandwidth loss (GB) and refresh energy (J).
+        std::vector<double> lossAdd;
+        std::vector<double> energyAdd;
     };
 
     /**
@@ -162,7 +211,8 @@ class ThermalSimulator
      * the shared scratch. It holds no pointer into itself (the job slots
      * are pool indices), so its implicit copy is an exact double-copy:
      * a forked lane continues bit-identically to the lane it was copied
-     * from.
+     * from. Its schedule's phase keys refer to the Scratch of the
+     * runBatch() call that built it.
      */
     struct Lane
     {
@@ -175,7 +225,9 @@ class ThermalSimulator
         BatchJob batch;
         /// Per-core job slots: batch pool indices, -1 for an idle core.
         std::vector<int> slot;
+        Schedule sched;                          ///< this window's tasks
         TaskInputTable inputs;                   ///< level-1 input memo
+        RefreshDerating derating; ///< refresh feedback (cfg.refresh only)
         AmbientModel ambient;
         MemoryThermalModel mem;
         Rng sensorRng;
@@ -236,6 +288,13 @@ class ThermalSimulator
   private:
     /** Reserve every scratch buffer for the configured core count. */
     void reserveScratch(Scratch &scratch) const;
+
+    /** Rebuild lane.sched from the slots, rotation and action. */
+    void buildSchedule(Lane &lane, Scratch &scratch) const;
+
+    /** Rebuild lane.derating from lane.derating.band and the shares;
+     *  sets the thermal model's refresh power. */
+    void buildDerating(Lane &lane) const;
 
     /** Read the sensors into lane.reading (consumes sensor RNG draws). */
     void senseLane(Lane &lane) const;

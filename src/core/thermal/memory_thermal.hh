@@ -24,6 +24,7 @@
 
 #include <memory>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "core/power/power_model.hh"
@@ -157,6 +158,14 @@ class MemoryThermalModel
     void currentPerDimm(std::vector<Celsius> &amb,
                         std::vector<Celsius> &dram) const;
 
+    /** Per-DIMM current DRAM temperatures, read in place (valid until
+     *  the next advance). */
+    std::span<const Celsius> dramTemps() const
+    {
+        return {st.dramTemp(),
+                static_cast<std::size_t>(orgCfg.nDimmsPerChannel)};
+    }
+
     /**
      * Replace the per-DIMM traffic shares mid-run (the remap actuator).
      * Same contract as the constructor argument, enforced here: empty
@@ -178,8 +187,8 @@ class MemoryThermalModel
      * temperature->power half of the refresh feedback edge,
      * core/sim/refresh_model.hh). Same arity contract as the traffic
      * shares: empty (the default) adds nothing, otherwise one finite
-     * non-negative entry per DIMM of the chain. The simulator rewrites
-     * this every window from the refresh model's current band per DIMM;
+     * non-negative entry per DIMM of the chain. The simulator sets
+     * this whenever a DIMM's refresh band or the traffic shares change;
      * allocation-free once the member buffer is warm.
      */
     void setRefreshDramPower(const std::vector<Watts> &w);

@@ -17,7 +17,10 @@
 #ifndef MEMTHERM_WORKLOADS_APP_DESCRIPTOR_HH
 #define MEMTHERM_WORKLOADS_APP_DESCRIPTOR_HH
 
+#include <cstddef>
+#include <limits>
 #include <string>
+#include <vector>
 
 #include "cache/miss_model.hh"
 #include "common/units.hh"
@@ -56,6 +59,68 @@ struct AppDescriptor
  * multiplies MPKI by 1 + amp * sin(2*pi*(t/period + shift)).
  */
 double phaseFactor(const AppDescriptor &app, Seconds t);
+
+/**
+ * phaseFactor() at the CPU times a program copy reaches window by
+ * window, computed once and shared by every copy, app and run that has
+ * the same phase profile.
+ *
+ * A key is one (phaseAmp, phasePeriod, phaseShift, window), compared
+ * bit for bit. Its entry k is phaseFactor(app, t_k) with t_0 = 0 and
+ * t_{k+1} = t_k + window: exactly the CPU time a copy holds after k
+ * scheduled windows of that length, so a lookup returns the bits of
+ * the direct call without calling sin. Entries depend on nothing but
+ * their key, so one table may serve runs of any configuration in any
+ * order. They are filled in order on first use: a key holds one entry
+ * per window of the most-scheduled copy that read it so far.
+ *
+ * Not thread-safe; the simulator keeps one table per worker.
+ */
+class PhaseFactorTable
+{
+  public:
+    /// Key of a profile without modulation (zero amplitude or a
+    /// non-positive period): every lookup is 1.0, and it has no entry.
+    static constexpr std::size_t kConstant =
+        std::numeric_limits<std::size_t>::max();
+
+    /// Entries reserved for a new key: 2^14 windows (164 s of CPU time
+    /// at 10 ms) before its storage first grows.
+    static constexpr std::size_t kReserve = std::size_t{1} << 14;
+
+    /** Key of @p app's phase profile at @p window seconds per window,
+     *  registered on first sight. */
+    std::size_t key(const AppDescriptor &app, Seconds window);
+
+    /** phaseFactor(app, t_k) for the app and window of @p key. */
+    double
+    at(std::size_t key, std::size_t k)
+    {
+        if (key == kConstant)
+            return 1.0;
+        Profile &p = profiles[key];
+        if (k >= p.values.size())
+            extend(p, k);
+        return p.values[k];
+    }
+
+    /** Registered keys (kConstant profiles are never registered). */
+    std::size_t keys() const { return profiles.size(); }
+
+  private:
+    struct Profile
+    {
+        AppDescriptor phase; ///< only the phase fields are set
+        Seconds window;
+        Seconds next;        ///< t of the next entry to fill
+        std::vector<double> values;
+    };
+
+    /** Fill @p p's entries up to and including k. */
+    static void extend(Profile &p, std::size_t k);
+
+    std::vector<Profile> profiles;
+};
 
 } // namespace memtherm
 

@@ -6,6 +6,7 @@
 #ifndef MEMTHERM_WORKLOADS_WORKLOAD_HH
 #define MEMTHERM_WORKLOADS_WORKLOAD_HH
 
+#include <cstddef>
 #include <string>
 #include <vector>
 
@@ -48,7 +49,9 @@ class BatchJob
     {
         const AppDescriptor *app = nullptr;
         double remainingInstr = 0.0;   ///< instructions left (absolute)
-        Seconds cpuTime = 0.0;         ///< accumulated scheduled time
+        /// Windows it has been scheduled so far; its CPU time is the
+        /// window length summed this many times (PhaseFactorTable).
+        std::size_t scheduledWindows = 0;
     };
 
     /**

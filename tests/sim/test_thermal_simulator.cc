@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <functional>
@@ -318,6 +319,24 @@ fnv1a(const std::string &bytes, std::uint64_t h)
     return h;
 }
 
+/**
+ * Active cores behind each cpuPowerTrace sample of a run under a power
+ * table at DVFS level 0 (-1 where no count gives the sample exactly).
+ */
+std::vector<int>
+sampledActiveCores(const SimConfig &cfg, const SimResult &r)
+{
+    std::vector<int> cores;
+    for (double w : r.cpuPowerTrace.values()) {
+        int n = -1;
+        for (int k = 0; k <= cfg.nCores; ++k)
+            if (cfg.cpuPowerTable.power(k, 0, false) == w)
+                n = k;
+        cores.push_back(n);
+    }
+    return cores;
+}
+
 TEST(ThermalSimulator, WindowLoopBitsArePinned)
 {
     // The goldens compare at 1e-9, so a hot-path change that moves bits
@@ -336,17 +355,23 @@ TEST(ThermalSimulator, WindowLoopBitsArePinned)
     SimConfig ch4 = makeCh4Config(coolingAohs15(), false);
     ch4.copiesPerApp = 1;
     ThermalSimulator sim4(ch4);
+    std::vector<int> no_limit_cores;
     for (const char *mix : {"W1", "W2"}) {
         for (const char *name :
              {"No-limit", "DTM-TS", "DTM-BW", "DTM-ACG", "DTM-CDVFS"}) {
             auto policy = makeCh4Policy(name);
-            add(sim4.run(workloadMix(mix), *policy));
+            const SimResult r = sim4.run(workloadMix(mix), *policy);
+            if (no_limit_cores.empty())
+                no_limit_cores = sampledActiveCores(ch4, r);
+            add(r);
         }
     }
 
-    ThermalSimulator shared(timeSharingConfig());
+    const SimConfig ts = timeSharingConfig();
+    ThermalSimulator shared(ts);
     auto acg = makeCh4Policy("DTM-ACG");
-    add(shared.run(workloadMix("W1"), *acg));
+    const SimResult ts_run = shared.run(workloadMix("W1"), *acg);
+    add(ts_run);
 
     Platform p = sr1500al();
     p.sim.copiesPerApp = 1;
@@ -355,6 +380,31 @@ TEST(ThermalSimulator, WindowLoopBitsArePinned)
     add(sim5.run(workloadMix("W11"), *acg5));
 
     EXPECT_EQ(h, 0x3e93ca5faabeb16aULL) << std::hex << "0x" << h;
+
+    // The grid exercises every event that rebuilds a lane's schedule.
+    // No-limit never gates a core, so a sample of fewer active cores
+    // than the first means copies retired, with none left to take
+    // their slots, before the run ended.
+    ASSERT_FALSE(no_limit_cores.empty());
+    EXPECT_LT(no_limit_cores.back(), no_limit_cores.front())
+        << "no copy retired mid-run";
+    // Occupied slots never increase, so a rise in the active cores is a
+    // change of the action's activeCores, and every sample before it
+    // had all slots occupied: a sample of 0 < n < 4 cores there was
+    // time-shared. Samples (every 1 s) fall in windows that begin a
+    // rotation slice (every 0.1 s), so those windows rotated the cores.
+    ASSERT_EQ(ts.traceSample, 1.0);
+    ASSERT_EQ(ts.rotationSlice, 0.1);
+    const std::vector<int> ts_cores = sampledActiveCores(ts, ts_run);
+    ASSERT_FALSE(std::count(ts_cores.begin(), ts_cores.end(), -1));
+    std::size_t last_rise = 0;
+    for (std::size_t i = 1; i < ts_cores.size(); ++i)
+        if (ts_cores[i] > ts_cores[i - 1])
+            last_rise = i;
+    EXPECT_GT(last_rise, 0u) << "activeCores never rose";
+    EXPECT_TRUE(std::any_of(ts_cores.begin(), ts_cores.begin() + last_rise,
+                            [&](int n) { return n > 0 && n < ts.nCores; }))
+        << "no time-shared window began a rotation slice";
 }
 
 /** Seeded non-uniform heat shares: @p blocks blocks of @p cells, each
@@ -409,15 +459,40 @@ TEST(ThermalSimulator, RefreshBankRemapBitsArePinned)
 
     ThermalSimulator::Scratch scratch;
     ThermalSimulator sim(cfg);
+    // Each run's refresh accounting shows the events that rebuild the
+    // refresh derating. A DIMM whose mean refresh power lies strictly
+    // between the two bands' powers crossed between them. A DIMM that
+    // stayed in the nominal band lost bandwidth in proportion to its
+    // time-averaged share; if that differs from its configured share,
+    // a remap changed the shares.
+    const std::vector<RefreshBand> &bands = cfg.refresh.bands;
+    ASSERT_EQ(bands.size(), 2u);
+    bool crossed = false;
+    bool shares_changed = false;
     Celsius hottest = 0.0;
     for (const char *name : {"No-limit", "DTM-remap", "DTM-TS+remap"}) {
         auto policy = registryPolicy(name, cfg);
         const SimResult r = sim.run(mix, *policy, scratch);
         hottest = std::max(hottest, r.maxDram);
+        for (std::size_t i = 0; i < cfg.trafficShares.size(); ++i) {
+            const double power = r.refreshEnergyPerDimm[i] / r.runningTime;
+            if (power > bands[0].dramPower * (1 + 1e-9) &&
+                power < bands[1].dramPower * (1 - 1e-9))
+                crossed = true;
+            const double share = r.refreshBwLossPerDimm[i] /
+                                 (cfg.memPerf.peakBandwidth *
+                                  cfg.memPerf.maxUtilization *
+                                  bands[0].bwFraction * r.runningTime);
+            if (std::abs(power - bands[0].dramPower) < 1e-9 &&
+                std::abs(share - cfg.trafficShares[i]) > 1e-6)
+                shares_changed = true;
+        }
         add(r);
     }
     EXPECT_GT(hottest, refreshModelByName("ddr2_2x").bands.back().minTemp)
         << "no run reached the 2x refresh band";
+    EXPECT_TRUE(crossed) << "no DIMM crossed a refresh band";
+    EXPECT_TRUE(shares_changed) << "no remap changed the traffic shares";
 
     std::vector<std::unique_ptr<DtmPolicy>> owned;
     std::vector<DtmPolicy *> lineup;
