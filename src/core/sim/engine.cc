@@ -226,7 +226,10 @@ ExperimentEngine::runBatched(const std::vector<Run> &runs,
     };
 
     if (workers.empty()) {
-        ThermalSimulator::Scratch scratch;
+        std::unique_lock<std::mutex> own(serialMtx, std::try_to_lock);
+        ThermalSimulator::Scratch fresh;
+        ThermalSimulator::Scratch &scratch =
+            own.owns_lock() ? serialScratch : fresh;
         for (const Chunk &ch : chunks)
             oneChunk(ch, scratch);
     } else {

@@ -211,6 +211,13 @@ class ExperimentEngine
     int nThreads;
     std::vector<std::thread> workers;
 
+    /// The serial mode's scratch, kept across calls as a worker keeps
+    /// its own, so warm buffers (the phase-factor table) are not freed
+    /// and rebuilt on every call. A call that finds it in use
+    /// (concurrent or nested) runs on a fresh one.
+    ThermalSimulator::Scratch serialScratch;
+    std::mutex serialMtx;
+
     std::mutex mtx;
     std::condition_variable wake;
     std::deque<Task> queue;

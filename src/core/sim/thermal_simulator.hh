@@ -130,7 +130,8 @@ class ThermalSimulator
      *    inputs equal to its own, so reuse in any order still gives
      *    bit-identical results;
      *  - a Scratch must not be shared by two concurrent run() calls.
-     *    The ExperimentEngine keeps one per worker thread, so a worker
+     *    The ExperimentEngine keeps one per worker thread (and a
+     *    one-thread engine one for its inline calls), so a worker
      *    resolves each distinct grid's slopes and computes each phase
      *    profile's factors once for its life.
      *

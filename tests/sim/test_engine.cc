@@ -286,6 +286,58 @@ TEST(ExperimentEngine, SinkIsolatesPerRunFailures)
     ASSERT_EQ(sink.results.size(), 2u);
 }
 
+/** Runs the same grid again on the engine from inside every delivery. */
+class NestedRunSink : public RecordingSink
+{
+  public:
+    NestedRunSink(ExperimentEngine &e,
+                  const std::vector<ExperimentEngine::Run> &r)
+        : engine(e), runs(r)
+    {
+    }
+
+    void onResult(std::size_t i, SimResult &&r, double wall_s) override
+    {
+        nested.push_back(engine.run(runs));
+        RecordingSink::onResult(i, std::move(r), wall_s);
+    }
+
+    ExperimentEngine &engine;
+    const std::vector<ExperimentEngine::Run> &runs;
+    std::vector<std::vector<SimResult>> nested;
+};
+
+TEST(ExperimentEngine, SerialScratchServesRepeatedAndNestedCalls)
+{
+    // A one-thread engine keeps its scratch across calls; a call made
+    // while it is in use (here, from the sink) runs on a fresh one.
+    // Every result must equal a fresh engine's.
+    SimConfig cfg = smallConfig();
+    std::vector<ExperimentEngine::Run> runs{
+        {cfg, workloadMix("W1"), "DTM-ACG", {}},
+        {cfg, workloadMix("W2"), "No-limit", {}},
+    };
+    ExperimentEngine fresh(1);
+    const std::vector<SimResult> reference = fresh.run(runs);
+
+    ExperimentEngine engine(1);
+    for (int call = 0; call < 2; ++call) {
+        const std::vector<SimResult> again = engine.run(runs);
+        for (std::size_t i = 0; i < runs.size(); ++i)
+            expectIdentical(again[i], reference[i]);
+    }
+
+    NestedRunSink sink(engine, runs);
+    engine.run(runs, sink);
+    ASSERT_EQ(sink.results.size(), runs.size());
+    ASSERT_EQ(sink.nested.size(), runs.size());
+    for (const auto &[i, r] : sink.results)
+        expectIdentical(r, reference[i]);
+    for (const std::vector<SimResult> &inner : sink.nested)
+        for (std::size_t i = 0; i < runs.size(); ++i)
+            expectIdentical(inner[i], reference[i]);
+}
+
 /**
  * Golden regression: single-run results must stay bit-compatible with
  * the seed model (values captured from the pre-engine serial simulator
